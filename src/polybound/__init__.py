@@ -21,14 +21,13 @@ from .bounds import (
 from .engine import AnalysisConfig, AnalysisResult, analyze, lift_local_bound
 from .ir import ParseError, Polynomial, Program, Transition, parse_program, print_program
 from .sim import Configuration, ExhaustiveResult, exhaustive_run, step
-from .smt import SmtContext, SmtResult, check_sat_int, check_sat_real
+from .smt import SmtContext, SmtResult
 from .twn import ClosedForm, TwnLoop, closed_form, twn_check
 from .twnbounds import (
     TerminationVerdict,
     TwnAnalysis,
     prove_termination,
     stabilization_bound,
-    twn_local_runtime_bound,
     twn_size_bound,
 )
 
@@ -58,8 +57,6 @@ __all__ = [
     "bound_of_poly",
     "bound_str",
     "bound_subst",
-    "check_sat_int",
-    "check_sat_real",
     "closed_form",
     "exhaustive_run",
     "lift_local_bound",
@@ -70,7 +67,6 @@ __all__ = [
     "stabilization_bound",
     "step",
     "twn_check",
-    "twn_local_runtime_bound",
     "twn_size_bound",
     "__version__",
 ]

@@ -271,22 +271,6 @@ class AsymptoticClass:
             return "O(EXP)"
         return "infinite"
 
-    @staticmethod
-    def const() -> "AsymptoticClass":
-        return AsymptoticClass("const")
-
-    @staticmethod
-    def poly(degree: int) -> "AsymptoticClass":
-        return AsymptoticClass("poly", degree) if degree > 0 else AsymptoticClass("const")
-
-    @staticmethod
-    def exp() -> "AsymptoticClass":
-        return AsymptoticClass("exp")
-
-    @staticmethod
-    def inf() -> "AsymptoticClass":
-        return AsymptoticClass("inf")
-
 
 _ORDER = {"const": 0, "poly": 1, "exp": 2, "inf": 3}
 

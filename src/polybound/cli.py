@@ -35,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--no-twn", action="store_true", help="disable closed-form loop analysis")
     pa.add_argument("--no-ranking", action="store_true", help="disable ranking functions")
-    pa.add_argument("--mprf-depth", type=int, default=1)
     pa.add_argument("--smt-solver", metavar="PATH", default=None)
     pa.add_argument("--smt-timeout", metavar="MS", type=int, default=5000)
 
@@ -48,7 +47,10 @@ def main(argv: list[str] | None = None) -> int:
     pc.add_argument("file")
     pc.add_argument("--transition", required=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors; 2 means ω here
+        return 3 if exc.code else 0
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)
@@ -85,7 +87,6 @@ def _cmd_analyze(args) -> int:
     cfg = AnalysisConfig(
         twn_enabled=not args.no_twn,
         ranking_enabled=not args.no_ranking,
-        mprf_depth=args.mprf_depth,
         smt=SmtContext(solver=solver, timeout_ms=args.smt_timeout),
     )
     result = analyze(program, cfg)

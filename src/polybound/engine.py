@@ -46,9 +46,7 @@ from .twnbounds import TwnAnalysis, Unsupported, analyze_self_loop
 class AnalysisConfig:
     twn_enabled: bool = True
     ranking_enabled: bool = True
-    mprf_depth: int = 1
     smt: SmtContext = field(default_factory=SmtContext)
-    dnf_cap: int = 64
 
 
 @dataclass
@@ -84,10 +82,6 @@ def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
     cfg = cfg or AnalysisConfig()
     started = time.perf_counter()
     diagnostics: list[str] = []
-    if cfg.mprf_depth > 1:
-        diagnostics.append(
-            f"ranking depth {cfg.mprf_depth} not implemented; proceeding at depth 1"
-        )
 
     decomposition = sccs(p)
     rb: dict[str, Bound] = {}
@@ -153,7 +147,7 @@ def _ranking_phase(p, scc, entries, rb, sb, provenance, cfg, diagnostics) -> Non
             if key in tried:
                 continue
             tried.add(key)
-            rf = synthesize_lrf(p, scc, list(cand), cfg.smt, cfg.dnf_cap)
+            rf = synthesize_lrf(p, scc, list(cand), cfg.smt)
             if rf is None:
                 continue
             local = rf_local_bound(rf, entries)

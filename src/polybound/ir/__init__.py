@@ -20,14 +20,8 @@ from .formula import (
 )
 from .graph import SccDecomposition, entry_transitions, sccs
 from .parser import ParseError, parse_program, print_program
-from .poly import Polynomial, poly_abs
-from .program import (
-    Program,
-    ProgramError,
-    Transition,
-    compose_updates,
-    identity_update,
-)
+from .poly import Polynomial
+from .program import Program, ProgramError, Transition, compose_updates
 
 __all__ = [
     "And",
@@ -49,13 +43,11 @@ __all__ = [
     "entry_transitions",
     "eval_formula",
     "formula_vars",
-    "identity_update",
     "map_atoms",
     "mk_and",
     "mk_or",
     "normalize_atom",
     "parse_program",
-    "poly_abs",
     "print_program",
     "sccs",
     "substitute",

@@ -9,29 +9,24 @@ from .program import Program, Transition
 
 @dataclass
 class SccDecomposition:
-    """Nontrivial SCCs in topological order plus cycle membership.
+    """Location SCCs numbered in topological order, plus cycle membership.
 
-    ``components`` lists, per nontrivial SCC of the location graph, the
-    transitions with both endpoints inside it (declaration order).  A
-    transition is cyclic iff its endpoints share a (location) SCC.
+    ``loc_component`` maps each location to its SCC id.  A transition is
+    cyclic iff its endpoints share a (location) SCC.
     """
 
-    components: list[list[Transition]]
     loc_component: dict[str, int]
-    component_order: list[int]
     _program: Program
 
     def is_cyclic(self, t: Transition) -> bool:
         return self.loc_component[t.src] == self.loc_component[t.tgt]
 
-    def cyclic_transitions(self) -> list[Transition]:
-        return [t for t in self._program.transitions if self.is_cyclic(t)]
-
     def units(self) -> list[tuple[list[Transition], list[Transition]]]:
         """Per condensation component in topological order: the transitions
-        feeding into it from earlier components, then its internal ones."""
+        feeding into it from earlier components, then its internal ones
+        (declaration order; empty for an SCC without a cycle)."""
         out = []
-        for comp in self.component_order:
+        for comp in range(len(set(self.loc_component.values()))):
             feeding = [
                 t
                 for t in self._program.transitions
@@ -107,27 +102,7 @@ def sccs(p: Program) -> SccDecomposition:
     for cid, comp in enumerate(reversed(finished)):  # topological ids
         for loc in comp:
             loc_component[loc] = cid
-    component_order = list(range(len(finished)))
-
-    has_self_loop = {t.src for t in p.transitions if t.is_self_loop}
-    comp_locs: dict[int, list[str]] = {}
-    for loc, cid in loc_component.items():
-        comp_locs.setdefault(cid, []).append(loc)
-
-    components: list[list[Transition]] = []
-    for cid in component_order:
-        locs = comp_locs[cid]
-        nontrivial = len(locs) > 1 or locs[0] in has_self_loop
-        if not nontrivial:
-            continue
-        members = [
-            t
-            for t in p.transitions
-            if loc_component[t.src] == cid and loc_component[t.tgt] == cid
-        ]
-        components.append(members)
-
-    return SccDecomposition(components, loc_component, component_order, p)
+    return SccDecomposition(loc_component, p)
 
 
 def _location_order(p: Program) -> list[str]:

@@ -24,10 +24,7 @@ from fractions import Fraction
 
 from .formula import (
     NEGATED_REL,
-    And,
-    Atom,
     Formula,
-    Or,
     TRUE,
     mk_and,
     mk_or,
@@ -375,18 +372,8 @@ def print_program(p: Program) -> str:
         rhs = f"{t.tgt}(" + ",".join(str(t.update[v]) for v in p.vars) + ")"
         line = f"  {lhs} -> {rhs}"
         if t.guard != TRUE:
-            line += " :|: " + _print_guard(t.guard)
+            line += f" :|: {t.guard}"
         lines.append(line)
     lines.append(")")
     return "\n".join(lines) + "\n"
 
-
-def _print_guard(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f"{f.poly} > 0"
-    if isinstance(f, And):
-        return " && ".join(
-            f"({_print_guard(c)})" if isinstance(c, Or) else _print_guard(c)
-            for c in f.children
-        )
-    return " || ".join(_print_guard(c) for c in f.children)

@@ -197,9 +197,6 @@ class Polynomial:
             raise ValueError(f"non-integer value {value} for {self}")
         return value.numerator
 
-    def abs_coefficients(self) -> "Polynomial":
-        return Polynomial({m: abs(c) for m, c in self._terms.items()})
-
     # -- canonical form ------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -241,11 +238,3 @@ def _coerce(value: "Polynomial | Scalar") -> Polynomial:
         return value
     return Polynomial.const(value)
 
-
-def poly_abs(p: Polynomial) -> Polynomial:
-    """Replace every coefficient by its absolute value.
-
-    For any integer state ``s``: ``|s(p)| <= |s|(poly_abs(p))`` where ``|s|``
-    maps each variable to its absolute value.
-    """
-    return p.abs_coefficients()

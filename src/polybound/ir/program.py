@@ -47,9 +47,6 @@ class Program:
         except KeyError:
             raise ProgramError(f"no transition named {tid!r}") from None
 
-    def outgoing(self, loc: str) -> list[Transition]:
-        return [t for t in self.transitions if t.src == loc]
-
     def incoming(self, loc: str) -> list[Transition]:
         return [t for t in self.transitions if t.tgt == loc]
 
@@ -78,10 +75,6 @@ def validate_program(p: Program) -> None:
                 raise ProgramError(f"{t.tid}: unknown variable in update of {v}")
         if not formula_vars(t.guard) <= var_set:
             raise ProgramError(f"{t.tid}: unknown variable in guard")
-
-
-def identity_update(vars: tuple[str, ...]) -> dict[str, Polynomial]:
-    return {v: Polynomial.var(v) for v in vars}
 
 
 def compose_updates(

@@ -220,11 +220,8 @@ class LP:
         return self.cols[name]
 
 
-def solve_lp(
-    constraints: list[tuple[dict[str, Fraction], Fraction, str]],
-    objective_var: str | None = None,
-):
-    """Feasibility / max-objective over  sum coeffs + const REL 0  rows.
+def solve_lp(constraints: list[tuple[dict[str, Fraction], Fraction, str]]):
+    """Feasibility over  sum coeffs + const REL 0  rows.
 
     rel is '=', '>=' or '>' ('>' rows get the shared eps subtracted and the
     eps variable is maximized).  Returns (status, point) with status one of
@@ -308,18 +305,9 @@ def solve_lp(
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    if has_strict and objective_var is None:
-        objective_var = "eps!"
-    if objective_var is not None and "p!" + objective_var in lp.cols:
-        target = lp.cols["p!" + objective_var]
-    elif objective_var == "eps!" and "eps!" in lp.cols:
-        target = lp.cols["eps!"]
-    else:
-        target = None
-
-    if target is not None:
+    if has_strict:
         obj = [Fraction(0)] * width
-        obj[target] = Fraction(-1)  # maximize target
+        obj[eps_col] = Fraction(-1)  # maximize eps
         for i, b in enumerate(basis):
             if obj[b] != 0:
                 factor = obj[b]

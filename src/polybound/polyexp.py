@@ -88,14 +88,6 @@ def pe_add(x: PolyExp, y: PolyExp) -> PolyExp:
     return _canonical(raw)
 
 
-def pe_neg(x: PolyExp) -> PolyExp:
-    return PolyExp(tuple((-q, a, b) for q, a, b in x.addends))
-
-
-def pe_sub(x: PolyExp, y: PolyExp) -> PolyExp:
-    return pe_add(x, pe_neg(y))
-
-
 def pe_scale(x: PolyExp, factor) -> PolyExp:
     f = Fraction(factor)
     if f == 0:

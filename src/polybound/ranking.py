@@ -68,7 +68,6 @@ def synthesize_lrf(
     scope: list[Transition],
     decreasing: list[Transition],
     smt: SmtContext | None = None,
-    dnf_cap: int = 64,
 ) -> RankingFunction | None:
     """A ranking function for ``decreasing`` within ``scope``, or None.
 
@@ -149,7 +148,7 @@ def synthesize_lrf(
 
     try:
         for t in scope:
-            clauses = dnf(t.guard, cap=dnf_cap)
+            clauses = dnf(t.guard)
             delta = Fraction(1) if t.tid in decreasing_ids else Fraction(0)
             # f_src(x) - f_tgt(update(x)) - delta >= 0
             target: dict[str, dict[str, Fraction]] = {}
@@ -204,23 +203,17 @@ def synthesize_lrf(
     return rf
 
 
-def validate_rf(
-    p: Program,
-    rf: RankingFunction,
-    scope: list[Transition],
-    samples: int = VALIDATION_SAMPLES,
-    seed: int = 0,
-) -> None:
+def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> None:
     """Check the invariants on random guard-satisfying states; loud on failure.
 
     A violation means the synthesized certificate is wrong, which would make
     every bound derived from it unsound, so this raises instead of degrading.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for t in scope:
         checked = 0
         for _ in range(VALIDATION_DRAWS):
-            if checked >= samples:
+            if checked >= VALIDATION_SAMPLES:
                 break
             state = {v: rng.randint(-60, 60) for v in p.vars}
             if not eval_formula(t.guard, state):

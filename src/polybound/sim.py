@@ -55,10 +55,6 @@ class ExhaustiveResult:
     per_transition: dict[str, int] = field(default_factory=dict)
     explored: int = 0
 
-    @property
-    def finite(self) -> bool:
-        return not self.exceeded
-
 
 class _Exceeded(Exception):
     def __init__(self, reason: str):

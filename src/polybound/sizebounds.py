@@ -16,9 +16,9 @@ small, auditable fragment, applied first-match per (transition, variable):
       constant, or resets ``v``): entry bounds plus reset magnitudes plus
       increment magnitudes scaled by how often each incrementing transition
       can run.
-  R5  single twn self-loops with a finite local bound: the closed-form size
+  R4  single twn self-loops with a finite local bound: the closed-form size
       bound, composed with the entry bounds.
-  R6  everything else is unbounded.
+  R5  everything else is unbounded.
 
 Maxima over incoming or entry transitions are over-approximated by sums,
 which is sound because all bounds are nonnegative.
@@ -28,9 +28,12 @@ from __future__ import annotations
 
 from .bounds import (
     Bound,
+    Const,
     INFINITE,
     bound_of_poly,
     bound_subst,
+    bound_vars,
+    bprod,
     bsum,
     is_omega,
     simplify,
@@ -51,13 +54,18 @@ def _incoming_sum(p: Program, loc: str, v: str, sb: SizeBoundMap) -> Bound:
     return simplify(bsum(parts))
 
 
-def _acyclic_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound:
-    if t.src == p.init:
-        return simplify(local_size_bound(t, v))
+def _composed_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound:
+    """The update bound for ``v`` at the incoming size bounds of ``t.src``."""
     mapping = {
         w: _incoming_sum(p, t.src, w, sb) for w in t.update[v].variables()
     }
     return simplify(bound_subst(local_size_bound(t, v), mapping))
+
+
+def _acyclic_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound:
+    if t.src == p.init:
+        return simplify(local_size_bound(t, v))
+    return _composed_bound(p, t, v, sb)
 
 
 def size_bounds_for_scc(
@@ -120,10 +128,7 @@ def _scc_bound(
 ) -> Bound:
     # R2b: the update reads only component-invariant variables
     if t.update[v].variables() <= invariant:
-        mapping = {
-            w: _incoming_sum(p, t.src, w, sb) for w in t.update[v].variables()
-        }
-        return simplify(bound_subst(local_size_bound(t, v), mapping))
+        return _composed_bound(p, t, v, sb)
 
     # R3: additive counter across the whole component
     increments: list[tuple[str, int]] = []
@@ -144,24 +149,20 @@ def _scc_bound(
         break
     if additive:
         parts: list[Bound] = [entry_sum(v)]
-        from .bounds import Const, bprod
-
         for c in resets:
             parts.append(Const(c))
         for tid, c in increments:
             parts.append(bprod([Const(c), rb[tid]]))
         return simplify(bsum(parts))
 
-    # R5: twn self-loop component with a finite local bound
+    # R4: twn self-loop component with a finite local bound
     if len(scc) == 1 and scc[0].is_self_loop:
         analysis = twn_analyses.get(t.tid)
         if analysis is not None and analysis.iteration_bound is not None:
             raw = twn_size_bound(analysis, v)
             if not is_omega(raw):
-                from .bounds import bound_vars
-
                 mapping = {w: entry_sum(w) for w in bound_vars(raw)}
                 return simplify(bound_subst(raw, mapping))
 
-    # R6
+    # R5
     return INFINITE

@@ -225,29 +225,6 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str] | None) -> SmtRe
     return SmtResult("unknown", reason="solver reported unknown", transcript=transcript)
 
 
-def check_sat_int(f: Formula, timeout_ms: int = 5000, solver: list[str] | None = None) -> SmtResult:
-    """Satisfiability of a guard formula over integer-valued variables."""
-    result = _run_solver(int_script(f), timeout_ms, solver)
-    if result.is_sat:
-        for v in formula_vars(f):
-            result.model.setdefault(v, Fraction(0))
-    return result
-
-
-def check_sat_real(
-    constraints: list[LinearConstraint],
-    timeout_ms: int = 5000,
-    solver: list[str] | None = None,
-) -> SmtResult:
-    """Satisfiability of an affine constraint system over real unknowns."""
-    result = _run_solver(real_script(constraints), timeout_ms, solver)
-    if result.is_sat:
-        for c in constraints:
-            for v, _ in c.coeffs:
-                result.model.setdefault(v, Fraction(0))
-    return result
-
-
 @dataclass
 class SmtContext:
     """Solver configuration threaded through the analysis."""
@@ -256,7 +233,18 @@ class SmtContext:
     timeout_ms: int = 5000
 
     def sat_int(self, f: Formula) -> SmtResult:
-        return check_sat_int(f, self.timeout_ms, self.solver)
+        """Satisfiability of a guard formula over integer-valued variables."""
+        result = _run_solver(int_script(f), self.timeout_ms, self.solver)
+        if result.is_sat:
+            for v in formula_vars(f):
+                result.model.setdefault(v, Fraction(0))
+        return result
 
     def sat_real(self, constraints: list[LinearConstraint]) -> SmtResult:
-        return check_sat_real(constraints, self.timeout_ms, self.solver)
+        """Satisfiability of an affine constraint system over real unknowns."""
+        result = _run_solver(real_script(constraints), self.timeout_ms, self.solver)
+        if result.is_sat:
+            for c in constraints:
+                for v, _ in c.coeffs:
+                    result.model.setdefault(v, Fraction(0))
+        return result

@@ -79,7 +79,6 @@ class TwnLoop:
 class ClosedForm:
     values: dict[str, PolyExp]
     start: int  # exact from this iteration count on
-    var_start: dict[str, int]
 
     def __getitem__(self, var: str) -> PolyExp:
         return self.values[var]
@@ -206,7 +205,7 @@ def closed_form(loop: TwnLoop) -> ClosedForm:
         values[var] = total
         var_start[var] = inner_start
     start = max(var_start.values(), default=0)
-    return ClosedForm(values, start, var_start)
+    return ClosedForm(values, start)
 
 
 def _sum_weighted(g: PolyExp, c: int) -> PolyExp:

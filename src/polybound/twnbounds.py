@@ -38,7 +38,6 @@ from .ir import (
     FALSE,
     Formula,
     Polynomial,
-    Program,
     Transition,
     atoms as formula_atoms,
     eval_formula,
@@ -294,21 +293,6 @@ def analyze_self_loop(
         local = bsum([bprod([Const(2), local]), Const(1)])
     local = simplify(bsum([local, Const(cf.start)]))
     return TwnAnalysis(t, loop, cf, verdict, iteration_bound, local)
-
-
-def twn_local_runtime_bound(
-    t: Transition, p: Program, smt: SmtContext | None = None
-) -> TwnAnalysis | Unsupported:
-    """Local runtime bound for a self-loop, or the reason there is none."""
-    analysis = analyze_self_loop(t, smt)
-    if isinstance(analysis, Unsupported):
-        return analysis
-    if analysis.local_bound is None:
-        return Unsupported(
-            f"termination not established: {analysis.verdict.status}"
-            + (f" ({analysis.verdict.reason})" if analysis.verdict.reason else "")
-        )
-    return analysis
 
 
 def twn_size_bound(analysis: TwnAnalysis, v: str, R: Bound | None = None) -> Bound:

@@ -102,7 +102,6 @@ def test_bad_state_string(capsys):
     assert main(["simulate", fixture("countdown"), "--state", "q=1"]) == 3
 
 
-def test_mprf_depth_note_on_stderr(capsys):
-    code = main(["analyze", fixture("countdown"), "--mprf-depth", "4"])
-    assert code == 0
-    assert "depth" in capsys.readouterr().err
+def test_unknown_option_is_input_error(capsys):
+    assert main(["analyze", fixture("countdown"), "--mprf-depth", "4"]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from polybound.ir import Polynomial, poly_abs
+from polybound.ir import Polynomial
 
 x, y, z = Polynomial.var("x"), Polynomial.var("y"), Polynomial.var("z")
 
@@ -41,13 +41,6 @@ def test_degree_and_variables():
     assert (x + y).variables() == frozenset({"x", "y"})
 
 
-def test_poly_abs_examples():
-    x2, x3 = Polynomial.var("x2"), Polynomial.var("x3")
-    assert poly_abs(x2 - x3**3) == x2 + x3**3
-    assert poly_abs(Polynomial.const(-5)) == Polynomial.const(5)
-    assert poly_abs(Polynomial.zero()) == Polynomial.zero()
-
-
 def test_canonical_printing():
     p = 9 * y - 8 * z**3
     assert str(p) == "-8*z^3 + 9*y"
@@ -69,13 +62,6 @@ def polynomials(draw):
             mono = mono * Polynomial.var(rng.choice("xyz"))
         p = p + mono.scale(rng.randint(-9, 9))
     return p
-
-
-@given(polynomials(), st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
-def test_abs_overapproximates(p, a, b, c):
-    state = {"x": a, "y": b, "z": c}
-    abs_state = {v: abs(s) for v, s in state.items()}
-    assert abs(p.evaluate(state)) <= poly_abs(p).evaluate(abs_state)
 
 
 @given(polynomials(), polynomials(), st.integers(-10, 10), st.integers(-10, 10))

@@ -80,8 +80,7 @@ def test_size_bounds_dominate_observed_values(name):
 
 def test_monotone_refinement_under_smaller_runtime_bounds():
     p = load_fixture("additive")
-    decomposition = sccs(p)
-    scc = decomposition.components[0]
+    scc = next(internal for _, internal in sccs(p).units() if internal)
     sb_template = {}
     for t in [p.transition("t0")]:
         size_bounds_for_scc(p, [t], {}, sb_template)

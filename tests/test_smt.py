@@ -9,9 +9,8 @@ from polybound.ir import Atom, Polynomial, mk_and, mk_or
 from polybound.minismt import parse_sexprs, solve_lp
 from polybound.smt import (
     LinearConstraint,
+    SmtContext,
     SolverNotFound,
-    check_sat_int,
-    check_sat_real,
     int_script,
     parse_model,
     real_script,
@@ -22,6 +21,7 @@ x = Polynomial.var("x")
 y = Polynomial.var("y")
 
 FALLBACK = [sys.executable, "-m", "polybound.minismt"]
+BUNDLED = SmtContext(solver=FALLBACK)
 
 
 # -- script emission (golden) ---------------------------------------------------
@@ -69,18 +69,18 @@ def test_real_script_golden():
 
 def test_contradiction_unsat():
     f = mk_and([Atom(x), Atom(-x)])
-    assert check_sat_int(f, solver=FALLBACK).is_unsat
+    assert BUNDLED.sat_int(f).is_unsat
 
 
 def test_positive_sat_with_model():
-    result = check_sat_int(Atom(x), solver=FALLBACK)
+    result = BUNDLED.sat_int(Atom(x))
     assert result.is_sat
     assert result.model["x"] >= 1
 
 
 def test_model_covers_all_variables():
     f = mk_or([Atom(x), Atom(y)])
-    result = check_sat_int(f, solver=FALLBACK)
+    result = BUNDLED.sat_int(f)
     assert result.is_sat
     assert set(result.model) >= {"x", "y"}
 
@@ -89,7 +89,7 @@ def test_real_system_sat_and_exact():
     constraints = [
         LinearConstraint.make({"a": Fraction(2)}, Fraction(-1), "="),  # 2a = 1
     ]
-    result = check_sat_real(constraints, solver=FALLBACK)
+    result = BUNDLED.sat_real(constraints)
     assert result.is_sat
     assert result.model["a"] == Fraction(1, 2)
 
@@ -99,11 +99,11 @@ def test_real_system_unsat():
         LinearConstraint.make({"a": Fraction(1)}, Fraction(-1), ">="),  # a >= 1
         LinearConstraint.make({"a": Fraction(-1)}, Fraction(0), ">="),  # a <= 0
     ]
-    assert check_sat_real(constraints, solver=FALLBACK).is_unsat
+    assert BUNDLED.sat_real(constraints).is_unsat
 
 
 def test_empty_real_system_is_sat():
-    result = check_sat_real([], solver=FALLBACK)
+    result = BUNDLED.sat_real([])
     assert result.is_sat
     assert result.model == {}
 
@@ -131,13 +131,13 @@ def test_parse_model_rationals_and_negatives():
 def test_timeout_yields_unknown(tmp_path):
     slow = tmp_path / "slow_solver.py"
     slow.write_text("import time\ntime.sleep(60)\n")
-    result = check_sat_int(Atom(x), timeout_ms=50, solver=[sys.executable, str(slow)])
+    result = SmtContext([sys.executable, str(slow)], timeout_ms=50).sat_int(Atom(x))
     assert result.status == "unknown"
     assert "timeout" in result.reason
 
 
 def test_missing_solver_binary_is_unknown():
-    result = check_sat_int(Atom(x), solver=["/nonexistent/solver-binary"])
+    result = SmtContext(["/nonexistent/solver-binary"]).sat_int(Atom(x))
     assert result.status == "unknown"
     assert "not found" in result.reason
 
@@ -145,7 +145,7 @@ def test_missing_solver_binary_is_unknown():
 def test_garbage_output_is_unknown(tmp_path):
     bad = tmp_path / "bad_solver.py"
     bad.write_text("print('flagrant nonsense')\n")
-    result = check_sat_int(Atom(x), solver=[sys.executable, str(bad)])
+    result = SmtContext([sys.executable, str(bad)]).sat_int(Atom(x))
     assert result.status == "unknown"
     assert result.transcript
 
