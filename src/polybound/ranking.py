@@ -3,8 +3,8 @@
 One affine template per location.  For every transition in scope and every
 disjunct of its guard, two implications are required: the template value
 never increases along the transition (and drops by at least 1 on the
-transitions being counted), and it is nonnegative whenever a counted
-transition fires.  Each implication "guard atoms imply affine inequality"
+transitions being counted), and it is at least 1 whenever a counted
+transition fires, so its value at an entry state bounds the counted steps.  Each implication "guard atoms imply affine inequality"
 is witnessed by nonnegative multipliers: the implied inequality must equal a
 nonnegative combination of the guard rows plus a nonnegative constant, which
 turns synthesis into constraint solving over the template coefficients and
@@ -182,7 +182,7 @@ def synthesize_lrf(
                         c_var(t.src, v): {v: Fraction(1)} for v in p.vars
                     }
                     implication(
-                        clause, nonneg_target, {c_const(t.src): Fraction(1)}, Fraction(0)
+                        clause, nonneg_target, {c_const(t.src): Fraction(1)}, Fraction(-1)
                     )
     except DnfCapExceeded:
         return None
@@ -226,9 +226,9 @@ def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> Non
                 raise RankingValidationError(
                     f"{t.tid}: drop {drop} below {needed} at {state}"
                 )
-            if t.tid in rf.decreasing and rf.value(t.src, state) < 0:
+            if t.tid in rf.decreasing and rf.value(t.src, state) < 1:
                 raise RankingValidationError(
-                    f"{t.tid}: negative template value at {state}"
+                    f"{t.tid}: template value below 1 at {state}"
                 )
 
 

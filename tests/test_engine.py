@@ -120,3 +120,25 @@ def test_runtime_bounds_dominate_oracle_samples(nested):
         for tid, count in run.per_transition.items():
             assert count <= bound_eval(result.rb[tid], abs_state)
         assert run.rc <= bound_eval(result.overall, abs_state)
+
+
+def test_ranking_bound_counts_the_last_step():
+    # The loop fires once at x = 0, so a template that is only nonnegative
+    # where the loop fires (here: x) undercounts by one.
+    p = parse_program(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+        "(RULES l0(x) -> l1(x)  l1(x) -> l1(x-2) :|: x >= 0)"
+    )
+    for cfg in (AnalysisConfig(), AnalysisConfig(twn_enabled=False)):
+        result = analyze(p, cfg)
+        assert result.provenance["t1"] == "ranking"
+        for start in range(-3, 9):
+            x, steps, largest = start, 0, 0
+            while x >= 0:
+                x, steps = x - 2, steps + 1
+                largest = max(largest, abs(x))
+            state = {"x": abs(start)}
+            assert steps <= bound_eval(result.rb["t1"], state)
+            assert steps + 1 <= bound_eval(result.overall, state)
+            assert largest <= bound_eval(result.sb[("t1", "x")], state)
+        assert bound_eval(result.rb["t1"], {"x": 0}) == 1

@@ -24,7 +24,7 @@ def test_countdown_rf(countdown):
         value = rf.value("l1", {"x": start})
         after = rf.value("l1", {"x": start - 1})
         assert value - after >= 1
-        assert value >= 0
+        assert value >= 1
 
 
 def test_incrementing_loop_has_no_rf():
