@@ -354,7 +354,12 @@ def _to_formula(ast, negated: bool) -> Formula:
 
 
 def parse_program(text: str) -> Program:
-    return _Parser(tokenize(text)).program()
+    parser = _Parser(tokenize(text))
+    try:
+        return parser.program()
+    except RecursionError:  # the descent recurses once per nesting level
+        tok = parser.peek()
+        raise ParseError("nesting too deep", tok.line, tok.col) from None
 
 
 # -- printing ---------------------------------------------------------------

@@ -127,10 +127,12 @@ def dominance_threshold(lower: tuple[int, int], upper: tuple[int, int]) -> int:
     asymptotic order (base major).
 
     Equal bases need a1 < a2, so the spare factor n fits degree-wise and
-    D = 1.  For b1 < b2 the ratio with e = max(0, a1+1-a2) is eventually
-    non-increasing (from the first n with ``(n+1)^e b1 <= n^e b2``); scan up
-    to the first point where the inequality holds past that, then return one
-    past the last failure.  Exact integer arithmetic throughout.
+    D = 1.  For b1 < b2 the ratio with e = max(0, a1+1-a2) is non-increasing
+    from the first n with ``(n+1)^e b1 <= n^e b2`` on, so past that point the
+    inequality, once true, stays true: gallop and bisect to the first n where
+    it holds.  Only when that is the turning point itself can a failure lie
+    below it, and then a scan finds the last one.  Exact integer arithmetic
+    throughout; nothing above SEARCH_CAP is evaluated.
     """
     a1, b1 = lower
     a2, b2 = upper
@@ -148,16 +150,24 @@ def dominance_threshold(lower: tuple[int, int], upper: tuple[int, int]) -> int:
         n_dec += 1
         if n_dec > SEARCH_CAP:
             raise CapExceeded("ratio never turns non-increasing")
-    n_ok = n_dec
-    while not holds(n_ok):
-        n_ok += 1
-        if n_ok > SEARCH_CAP:
+    if holds(n_dec):
+        last_failure = max((m for m in range(1, n_dec) if not holds(m)), default=0)
+        return last_failure + 1
+    lo, step = n_dec, 1  # holds(lo) is false
+    while True:
+        hi = min(lo + step, SEARCH_CAP)
+        if hi == lo:
             raise CapExceeded("dominance point not found")
-    last_failure = 0
-    for m in range(1, n_ok):
-        if not holds(m):
-            last_failure = m
-    return last_failure + 1
+        if holds(hi):
+            break
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def atom_stabilization_bound(pe: PolyExp) -> Bound:

@@ -105,3 +105,15 @@ def test_bad_state_string(capsys):
 def test_unknown_option_is_input_error(capsys):
     assert main(["analyze", fixture("countdown"), "--mprf-depth", "4"]) == 3
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["analyze", "--help"]) == 0
+
+
+def test_deep_nesting_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.its"
+    deep.write_text(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+        "(RULES l0(x) -> l1(x)  l1(x) -> l1(x-1) :|: "
+        + "(" * 3000 + "x > 0" + ")" * 3000 + ")"
+    )
+    assert main(["analyze", str(deep)]) == 3
+    assert "input error" in capsys.readouterr().err

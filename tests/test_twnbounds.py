@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from polybound import twnbounds
 from polybound.bounds import AsymptoticClass, asymptotic_class, bound_eval
 from polybound.ir import Atom, FALSE, Polynomial, TRUE, Transition, eval_formula
 from polybound.polyexp import PolyExp, pe_eval, pe_substitute
 from polybound.smt import SmtContext
 from polybound.twn import closed_form, twn_check
 from polybound.twnbounds import (
+    CapExceeded,
     TwnAnalysis,
     Unsupported,
     analyze_self_loop,
@@ -167,6 +169,31 @@ def test_dominance_threshold_examples():
 )
 def test_dominance_threshold_against_brute_force(lower, upper):
     assert dominance_threshold(lower, upper) == brute_force_threshold(lower, upper)
+
+
+def test_dominance_threshold_matches_brute_force_on_grid():
+    addends = [(a, b) for b in range(1, 7) for a in range(4)]  # ascending order
+    for i, lower in enumerate(addends):
+        for upper in addends[i + 1:]:
+            expected = brute_force_threshold(lower, upper, horizon=400)
+            assert dominance_threshold(lower, upper) == expected, (lower, upper)
+
+
+def test_dominance_threshold_far_past_the_turning_point():
+    # the ratio of n^2 * 1000^n to 1001^n turns only near n = 2000 and drops
+    # below 1 near n = 20000; a linear scan over such powers takes minutes
+    d = dominance_threshold((1, 1000), (0, 1001))
+    assert d ** 2 * 1000**d <= 1001**d
+    assert (d - 1) ** 2 * 1000 ** (d - 1) > 1001 ** (d - 1)
+
+
+def test_dominance_threshold_cap_is_exact(monkeypatch):
+    d = dominance_threshold((3, 5), (0, 6))
+    monkeypatch.setattr(twnbounds, "SEARCH_CAP", d)
+    assert dominance_threshold((3, 5), (0, 6)) == d
+    monkeypatch.setattr(twnbounds, "SEARCH_CAP", d - 1)
+    with pytest.raises(CapExceeded):
+        dominance_threshold((3, 5), (0, 6))
 
 
 def test_dominance_threshold_requires_order():
