@@ -381,4 +381,3 @@ def print_program(p: Program) -> str:
         lines.append(line)
     lines.append(")")
     return "\n".join(lines) + "\n"
-

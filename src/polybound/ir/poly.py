@@ -237,4 +237,3 @@ def _coerce(value: "Polynomial | Scalar") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.const(value)
-

@@ -4,10 +4,11 @@ One affine template per location.  For every transition in scope and every
 disjunct of its guard, two implications are required: the template value
 never increases along the transition (and drops by at least 1 on the
 transitions being counted), and it is at least 1 whenever a counted
-transition fires, so its value at an entry state bounds the counted steps.  Each implication "guard atoms imply affine inequality"
-is witnessed by nonnegative multipliers: the implied inequality must equal a
-nonnegative combination of the guard rows plus a nonnegative constant, which
-turns synthesis into constraint solving over the template coefficients and
+transition fires, so its value at an entry state bounds the counted steps.
+Each implication "guard atoms imply affine inequality" is witnessed by
+nonnegative multipliers: the implied inequality must equal a nonnegative
+combination of the guard rows plus a nonnegative constant, which turns
+synthesis into constraint solving over the template coefficients and
 multipliers.
 
 Guard atoms are strict over the integers, so ``p > 0`` enters as
