@@ -1,9 +1,11 @@
+import functools
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from polybound.engine import AnalysisResult, analyze
 from polybound.ir import Polynomial, Program, Transition, TRUE, parse_program
 from polybound.sim import make_config, step
 
@@ -28,6 +30,12 @@ FIXTURE_NAMES = [
 
 def load_fixture(name: str) -> Program:
     return parse_program((FIXTURES / f"{name}.its").read_text())
+
+
+@functools.cache
+def analyzed_fixture(name: str) -> AnalysisResult:
+    """The default analysis of a fixture, computed once per test session."""
+    return analyze(load_fixture(name))
 
 
 @pytest.fixture

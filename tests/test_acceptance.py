@@ -26,7 +26,13 @@ from polybound.sim import exhaustive_run
 from polybound.twn import closed_form, iterate_update, twn_check
 from polybound.twnbounds import TwnAnalysis, analyze_self_loop, prove_termination
 
-from conftest import FIXTURES, FIXTURE_NAMES, load_fixture, random_twn_transition
+from conftest import (
+    FIXTURES,
+    FIXTURE_NAMES,
+    analyzed_fixture,
+    load_fixture,
+    random_twn_transition,
+)
 
 x1, x2, x3 = (Polynomial.var(v) for v in ("x1", "x2", "x3"))
 
@@ -181,7 +187,7 @@ def test_c6_global_soundness_oracle():
     rng = random.Random(123)
     for name in FIXTURE_NAMES:
         program = load_fixture(name)
-        result = analyze(program)
+        result = analyzed_fixture(name)
         for _ in range(50):
             state = {v: rng.randint(-15, 15) for v in program.vars}
             abs_state = {v: abs(s) for v, s in state.items()}
