@@ -93,6 +93,13 @@ def _cmd_analyze(args) -> int:
     result.timings["parse_s"] = parse_s
     for note in result.diagnostics:
         print(f"note: {note}", file=sys.stderr)
+    if cfg.smt.failures and not cfg.smt.decided:
+        print(
+            f"solver error: {' '.join(solver)}: {cfg.smt.failures[0]} "
+            f"({len(cfg.smt.failures)} queries failed, none decided)",
+            file=sys.stderr,
+        )
+        return 4
     if args.format == "json":
         print(json.dumps(report_json(result, args.file), indent=2))
     else:
@@ -206,3 +213,7 @@ def _cmd_closed_form(args) -> int:
         print(f"{v}(n) = {cf[v]}")
     print(f"valid from n = {cf.start}")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

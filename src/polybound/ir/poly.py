@@ -161,8 +161,9 @@ class Polynomial:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return result
 
     def scale(self, factor: Scalar) -> "Polynomial":

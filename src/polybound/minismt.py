@@ -5,21 +5,28 @@ answers ``sat`` (with a model), ``unsat`` or ``unknown``.  It exists so the
 analyzer works on machines without an external SMT solver; when a real
 solver is on the PATH it is preferred (see :mod:`polybound.smt`).
 
-Supported: QF_LRA-style conjunctions/disjunctions over declared Int or Real
-constants, with polynomial terms.  The procedure is deliberately incomplete
-but *sound*: ``sat`` is only reported with a concrete model that checks by
-exact evaluation, and ``unsat`` only when every DNF clause is refuted by one
-of
+Accepted input: constants declared all Int or all Real, with polynomial
+terms built from ``+ - * /`` and numerals.
 
-- exact rational infeasibility of its linear part (Fourier-style via an
-  exact two-phase simplex; for integer variables the strict atoms are first
-  tightened with ``p > 0  iff  p >= 1``),
+- Int: every assertion is a boolean combination (``and or not true false``)
+  of the relations ``< <= > >= =``.  It is lowered to an
+  :mod:`polybound.ir` formula and expanded through :func:`polybound.ir.dnf`
+  into at most ``DNF_CAP`` clauses.
+- Real: every assertion is a conjunction of affine relations, solved as one
+  system of :class:`polybound.smt.LinearConstraint` rows by an exact
+  two-phase simplex.
+
+Everything else answers ``unknown``, which callers treat as "no
+information".  The procedure is deliberately incomplete but *sound*:
+``sat`` is only reported with a concrete model, and an Int ``unsat`` only
+when every DNF clause is refuted by one of
+
+- exact rational infeasibility of its linear part (the simplex; an atom
+  ``p > 0`` with integer coefficients is the row ``p - 1 >= 0``),
 - a monomial-parity argument (a sum of negatively weighted even-power
   monomials plus a constant can never exceed the constant), or
 - forced-zero propagation (``x^k <= 0`` pins ``x`` to 0, enabling
   substitution).
-
-Everything else is ``unknown``, which callers treat as "no information".
 """
 
 from __future__ import annotations
@@ -27,7 +34,20 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .ir import Polynomial
+from .ir import (
+    FALSE,
+    TRUE,
+    Atom,
+    DnfCapExceeded,
+    Formula,
+    Polynomial,
+    dnf,
+    mk_and,
+    mk_or,
+    normalize_atom,
+)
+from .ir.formula import NEGATED_REL
+from .smt import LinearConstraint
 
 DNF_CAP = 1024
 ENUM_VALUES = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8]
@@ -137,167 +157,125 @@ def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
     raise Unsupported(f"term {head}")
 
 
-# Atoms are (poly, strict) meaning poly > 0 (strict) or poly >= 0.
-Atom = tuple[Polynomial, bool]
+# -- assertions to the analyzer's formulas and rows ----------------------------
+
+RELATIONS = ("<", "<=", ">", ">=", "=")
 
 
-def formula_to_nnf(term, declared, negate: bool):
-    """Returns nested ('or'|'and', children) / ('atom', poly, strict)."""
+def _relation(term, declared) -> tuple[str, Polynomial]:
+    """``(REL a b)`` as ``(REL, a - b)``; the relation compares with 0."""
+    if len(term) != 3:
+        raise Unsupported(f"{term[0]} with {len(term) - 1} arguments")
+    return term[0], term_to_poly(term[1], declared) - term_to_poly(term[2], declared)
+
+
+def int_formula(term, declared, negate: bool = False) -> Formula:
+    """An Int assertion as an :mod:`polybound.ir` formula."""
+    if term in ("true", "false"):
+        return TRUE if (term == "true") != negate else FALSE
     if isinstance(term, str):
-        if term == "true":
-            return ("and", []) if not negate else ("or", [])
-        if term == "false":
-            return ("or", []) if not negate else ("and", [])
         raise Unsupported(f"boolean symbol {term}")
     head = term[0]
-    args = term[1:]
-    if head == "not":
-        return formula_to_nnf(args[0], declared, not negate)
+    if head == "not" and len(term) == 2:
+        return int_formula(term[1], declared, not negate)
     if head in ("and", "or"):
-        kind = head if not negate else ("or" if head == "and" else "and")
-        return (kind, [formula_to_nnf(a, declared, negate) for a in args])
-    if head in ("<", "<=", ">", ">=", "="):
-        lhs = term_to_poly(args[0], declared)
-        rhs = term_to_poly(args[1], declared)
-        if negate:
-            head = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!="}[head]
-        diff = lhs - rhs
-        if head == "<":
-            return ("atom", -diff, True)
-        if head == "<=":
-            return ("atom", -diff, False)
-        if head == ">":
-            return ("atom", diff, True)
-        if head == ">=":
-            return ("atom", diff, False)
-        if head == "=":
-            return ("and", [("atom", diff, False), ("atom", -diff, False)])
-        # disequality
-        return ("or", [("atom", diff, True), ("atom", -diff, True)])
+        children = [int_formula(a, declared, negate) for a in term[1:]]
+        return mk_and(children) if (head == "and") != negate else mk_or(children)
+    if head in RELATIONS:
+        rel, diff = _relation(term, declared)
+        # normalize_atom's translations are exact for integer coefficients
+        diff = diff.scale(diff.denominator_lcm())
+        rel = NEGATED_REL[rel] if negate else rel
+        return normalize_atom(diff, rel, Polynomial.zero())
     raise Unsupported(f"connective {head}")
 
 
-def nnf_to_dnf(node) -> list[list[Atom]]:
-    kind = node[0]
-    if kind == "atom":
-        return [[(node[1], node[2])]]
-    clause_lists = [nnf_to_dnf(c) for c in node[1]]
-    if kind == "or":
-        out: list[list[Atom]] = []
-        for clauses in clause_lists:
-            out.extend(clauses)
-            if len(out) > DNF_CAP:
-                raise Unsupported("DNF cap exceeded")
-        return out
-    result: list[list[Atom]] = [[]]
-    for clauses in clause_lists:
-        merged = []
-        for left in result:
-            for right in clauses:
-                merged.append(left + right)
-                if len(merged) > DNF_CAP:
-                    raise Unsupported("DNF cap exceeded")
-        result = merged
-    return result
+def real_rows(term, declared) -> list[LinearConstraint]:
+    """A Real assertion, a conjunction of affine relations, as LP rows."""
+    if isinstance(term, list) and term and term[0] == "and":
+        return [row for a in term[1:] for row in real_rows(a, declared)]
+    if not isinstance(term, list) or not term or term[0] not in RELATIONS:
+        raise Unsupported(f"real assertion {term}")
+    rel, diff = _relation(term, declared)
+    if rel in ("<", "<="):
+        rel, diff = {"<": ">", "<=": ">="}[rel], -diff
+    if diff.degree() > 1:
+        raise Unsupported("non-linear real term")
+    return [_linear_row(diff, rel)]
+
+
+def _linear_row(p: Polynomial, rel: str) -> LinearConstraint:
+    coeffs = {v: p.coefficient(((v, 1),)) for v in p.variables()}
+    return LinearConstraint.make(coeffs, p.constant_term(), rel)
 
 
 # -- exact two-phase simplex ---------------------------------------------------
 #
-# Feasibility and optimization for  A x REL b  systems over the rationals.
-# Free variables are translated as x_i = p_i - u with one shared nonnegative
-# shift u; strict inequalities get a jointly maximized slack eps in (0, 1].
+# Feasibility over the rationals.  Free variables are translated as
+# x_i = p_i - u with one shared nonnegative shift u; strict inequalities get a
+# jointly maximized slack eps in (0, 1].  Tableau rows are sparse
+# ``column -> coefficient`` dicts holding no zeros; the right-hand side is
+# stored under the column RHS.
+
+RHS = -1
 
 
-class LP:
-    def __init__(self):
-        self.cols: dict[str, int] = {}
-        self.rows: list[tuple[dict[int, Fraction], Fraction]] = []  # sum = rhs
-        self.geq_rows: list[tuple[dict[int, Fraction], Fraction]] = []
+def solve_lp(constraints: list[LinearConstraint]):
+    """Feasibility of ``sum coeffs + const REL 0`` rows, REL in =, >=, >.
 
-    def col(self, name: str) -> int:
-        if name not in self.cols:
-            self.cols[name] = len(self.cols)
-        return self.cols[name]
-
-
-def solve_lp(constraints: list[tuple[dict[str, Fraction], Fraction, str]]):
-    """Feasibility over  sum coeffs + const REL 0  rows.
-
-    rel is '=', '>=' or '>' ('>' rows get the shared eps subtracted and the
-    eps variable is maximized).  Returns (status, point) with status one of
-    'sat', 'unsat'; point maps variable names to Fractions.
+    Returns (status, point) with status 'sat' or 'unsat'; point maps variable
+    names to Fractions, plus ``eps!``, the maximized slack of the '>' rows,
+    when there are any.
     """
-    lp = LP()
-    has_strict = any(rel == ">" for _, _, rel in constraints)
+    cols: dict[str, int] = {}
+
+    def col(name: str) -> int:
+        return cols.setdefault(name, len(cols))
+
+    has_strict = any(c.rel == ">" for c in constraints)
     if has_strict:
-        eps_col = lp.col("eps!")
-    for coeffs, const, rel in constraints:
-        row: dict[int, Fraction] = {}
-        for var, c in coeffs.items():
-            if not c:
-                continue
-            pc = lp.col("p!" + var)
-            uc = lp.col("u!")
-            row[pc] = row.get(pc, Fraction(0)) + c
-            row[uc] = row.get(uc, Fraction(0)) - c
-        if rel == ">":
-            row[eps_col] = row.get(eps_col, Fraction(0)) - Fraction(1)
-            rel = ">="
-        if rel == ">=":
-            lp.geq_rows.append((row, -const))
-        else:
-            lp.rows.append((row, -const))
+        eps_col = col("eps!")
+    geq_rows: list[dict[int, Fraction]] = []
+    eq_rows: list[dict[int, Fraction]] = []
+    for c in constraints:
+        row: dict[int, Fraction] = {RHS: -c.const}
+        for var, k in c.coeffs:
+            pc, uc = col("p!" + var), col("u!")
+            row[pc] = row.get(pc, 0) + k
+            row[uc] = row.get(uc, 0) - k
+        if c.rel == ">":
+            row[eps_col] = Fraction(-1)
+        (eq_rows if c.rel == "=" else geq_rows).append(row)
     if has_strict:
-        # eps <= 1  encoded as  -eps >= -1
-        lp.geq_rows.append(({eps_col: Fraction(-1)}, Fraction(-1)))
+        geq_rows.append({eps_col: Fraction(-1), RHS: Fraction(-1)})  # eps <= 1
 
-    ncols = len(lp.cols)
-    rows = []
-    # slack columns for >= rows: lhs - slack = rhs
-    slack_base = ncols
-    for i, (row, rhs) in enumerate(lp.geq_rows):
-        r = dict(row)
-        r[slack_base + i] = Fraction(-1)
-        rows.append((r, rhs))
-    for row, rhs in lp.rows:
-        rows.append((dict(row), rhs))
-    total_cols = slack_base + len(lp.geq_rows)
+    # slack columns for >= rows (lhs - slack = rhs), then one artificial per row
+    slack_base = len(cols)
+    art_base = slack_base + len(geq_rows)
+    tableau: list[dict[int, Fraction]] = []
+    for i, row in enumerate(geq_rows + eq_rows):
+        if i < len(geq_rows):
+            row[slack_base + i] = Fraction(-1)
+        sign = -1 if row[RHS] < 0 else 1
+        row = {j: sign * v for j, v in row.items() if v}
+        row[art_base + i] = Fraction(1)
+        tableau.append(row)
+    nrows = len(tableau)
+    basis = [art_base + i for i in range(nrows)]
 
-    # sign-normalize rhs and add artificials
-    nrows = len(rows)
-    art_base = total_cols
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, (row, rhs) in enumerate(rows):
-        if rhs < 0:
-            row = {c: -v for c, v in row.items()}
-            rhs = -rhs
-        dense = [Fraction(0)] * (art_base + nrows + 1)
-        for c, v in row.items():
-            dense[c] = v
-        dense[art_base + i] = Fraction(1)
-        dense[-1] = rhs
-        tableau.append(dense)
-        basis.append(art_base + i)
-    width = art_base + nrows + 1
-
-    # phase 1: maximize -sum(artificials); objective row holds reduced costs
-    obj = [Fraction(0)] * width
-    for j in range(art_base, art_base + nrows):
-        obj[j] = Fraction(1)
-    for i in range(nrows):
-        obj = [o - t for o, t in zip(obj, tableau[i])]
+    # phase 1: maximize -sum(artificials); the objective row holds reduced costs
+    obj: dict[int, Fraction] = {j: Fraction(1) for j in basis}
+    for row in tableau:
+        _eliminate(obj, Fraction(1), row)
     _simplex(tableau, basis, obj, art_base + nrows)
-    if obj[-1] != 0:  # the objective row rhs tracks -sum(artificials)
+    if obj.get(RHS):  # the objective's rhs tracks -sum(artificials)
         return "unsat", {}
 
     # drive basic artificials out or drop redundant rows
     keep = []
-    for i in range(len(tableau)):
+    for i, row in enumerate(tableau):
         if basis[i] >= art_base:
-            pivot_col = next(
-                (j for j in range(art_base) if tableau[i][j] != 0), None
-            )
+            pivot_col = min((j for j in row if 0 <= j < art_base), default=None)
             if pivot_col is None:
                 continue  # redundant row
             _pivot(tableau, basis, i, pivot_col)
@@ -306,24 +284,21 @@ def solve_lp(constraints: list[tuple[dict[str, Fraction], Fraction, str]]):
     basis = [basis[i] for i in keep]
 
     if has_strict:
-        obj = [Fraction(0)] * width
-        obj[eps_col] = Fraction(-1)  # maximize eps
+        obj = {eps_col: Fraction(-1)}  # maximize eps
         for i, b in enumerate(basis):
-            if obj[b] != 0:
-                factor = obj[b]
-                obj = [o - factor * t for o, t in zip(obj, tableau[i])]
+            if b in obj:
+                _eliminate(obj, obj[b], tableau[i])
         _simplex(tableau, basis, obj, art_base)
 
-    point_cols: dict[int, Fraction] = {}
-    for i, b in enumerate(basis):
-        point_cols[b] = tableau[i][-1]
-    shift = point_cols.get(lp.cols.get("u!", -1), Fraction(0))
-    point: dict[str, Fraction] = {}
-    for name, col in lp.cols.items():
-        if name.startswith("p!"):
-            point[name[2:]] = point_cols.get(col, Fraction(0)) - shift
+    value = {b: tableau[i].get(RHS, Fraction(0)) for i, b in enumerate(basis)}
+    shift = value.get(cols.get("u!"), Fraction(0))
+    point = {
+        name[2:]: value.get(c, Fraction(0)) - shift
+        for name, c in cols.items()
+        if name.startswith("p!")
+    }
     if has_strict:
-        eps = point_cols.get(lp.cols["eps!"], Fraction(0))
+        eps = value.get(eps_col, Fraction(0))
         if eps <= 0:
             return "unsat", {}
         point["eps!"] = eps
@@ -331,18 +306,22 @@ def solve_lp(constraints: list[tuple[dict[str, Fraction], Fraction, str]]):
 
 
 def _simplex(tableau, basis, obj, limit_col):
-    """Bland's rule; pivots until no objective column below zero remains."""
+    """Bland's rule; pivots until no objective column below zero remains.
+
+    The entering column is the lowest one with a negative reduced cost; ties
+    in the ratio test go to the row whose basic column is lowest.
+    """
     while True:
-        entering = next(
-            (j for j in range(limit_col) if obj[j] < 0), None
-        )
+        entering = min((j for j, v in obj.items() if 0 <= j < limit_col and v < 0),
+                       default=None)
         if entering is None:
             return
         best_i = None
         best_ratio = None
         for i, row in enumerate(tableau):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
+            coeff = row.get(entering, 0)
+            if coeff > 0:
+                ratio = row.get(RHS, 0) / coeff
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -353,21 +332,27 @@ def _simplex(tableau, basis, obj, limit_col):
         if best_i is None:
             return  # unbounded; caller reads the current point
         _pivot(tableau, basis, best_i, entering)
-        factor = obj[entering]
-        if factor:
-            obj[:] = [o - factor * t for o, t in zip(obj, tableau[best_i])]
+        _eliminate(obj, obj[entering], tableau[best_i])
 
 
 def _pivot(tableau, basis, row_i, col_j):
-    row = tableau[row_i]
-    inv = Fraction(1) / row[col_j]
-    tableau[row_i] = [v * inv for v in row]
-    pivot_row = tableau[row_i]
+    inv = 1 / tableau[row_i][col_j]
+    pivot_row = {j: v * inv for j, v in tableau[row_i].items()}
+    tableau[row_i] = pivot_row
     for i, other in enumerate(tableau):
-        if i != row_i and other[col_j] != 0:
-            factor = other[col_j]
-            tableau[i] = [v - factor * w for v, w in zip(other, pivot_row)]
+        if i != row_i and col_j in other:
+            _eliminate(other, other[col_j], pivot_row)
     basis[row_i] = col_j
+
+
+def _eliminate(row: dict[int, Fraction], factor: Fraction, pivot_row) -> None:
+    """``row -= factor * pivot_row`` in place, dropping entries that cancel."""
+    for j, v in pivot_row.items():
+        new = row.get(j, 0) - factor * v
+        if new:
+            row[j] = new
+        else:
+            row.pop(j, None)
 
 
 # -- integer clause reasoning ---------------------------------------------------
@@ -386,11 +371,9 @@ def monomial_sup(poly: Polynomial) -> Fraction | None:
     return total
 
 
-def _forced_zero_var(atoms: list[Atom]) -> str | None:
-    """A variable pinned to zero by an atom ``-c * x^even >= 0``."""
-    for poly, strict in atoms:
-        if strict:
-            continue
+def _forced_zero_var(rows: list[Polynomial]) -> str | None:
+    """A variable pinned to zero by a row ``-c * x^even >= 0``."""
+    for poly in rows:
         terms = list(poly.items())
         if len(terms) != 1:
             continue
@@ -400,19 +383,16 @@ def _forced_zero_var(atoms: list[Atom]) -> str | None:
     return None
 
 
-def solve_int_clause(atoms: list[Atom]):
+def solve_int_clause(clause: tuple[Atom, ...]):
     """Returns ('sat', model) | ('unsat', {}) | ('unknown', {})."""
-    # tighten strict atoms: integer coefficients make p > 0 equal to p >= 1
-    work: list[Atom] = []
-    for poly, strict in atoms:
-        poly = poly.scale(poly.denominator_lcm())
-        work.append((poly - 1 if strict else poly, False))
+    # atoms have integer coefficients, so p > 0 is the row p - 1 >= 0
+    rows = [a.poly - 1 for a in clause]
 
     changed = True
     while changed:
         changed = False
-        kept: list[Atom] = []
-        for poly, strict in work:
+        kept: list[Polynomial] = []
+        for poly in rows:
             if poly.is_const:
                 if poly.const_value() < 0:
                     return "unsat", {}
@@ -420,36 +400,32 @@ def solve_int_clause(atoms: list[Atom]):
             sup = monomial_sup(poly)
             if sup is not None and sup < 0:
                 return "unsat", {}
-            kept.append((poly, strict))
-        work = kept
-        var = _forced_zero_var(work)
+            kept.append(poly)
+        rows = kept
+        var = _forced_zero_var(rows)
         if var is not None:
             zero = {var: Polynomial.zero()}
-            work = [(poly.substitute(zero), s) for poly, s in work]
+            rows = [poly.substitute(zero) for poly in rows]
             changed = True
 
-    if not work:
+    if not rows:
         return "sat", {}
 
-    if all(poly.degree() <= 1 for poly, _ in work):
-        constraints = [
-            ({v: poly.coefficient(((v, 1),)) for v in poly.variables()},
-             poly.constant_term(), ">=")
-            for poly, _ in work
-        ]
-        status, point = solve_lp(constraints)
+    if all(poly.degree() <= 1 for poly in rows):
+        status, point = solve_lp([_linear_row(poly, ">=") for poly in rows])
         if status == "unsat":
             return "unsat", {}
-        model = _integer_hunt(work, point)
+        model = _integer_hunt(rows, point)
     else:
-        model = _integer_hunt(work, {})
+        model = _integer_hunt(rows, {})
     if model is not None:
         return "sat", model
     return "unknown", {}
 
 
-def _integer_hunt(atoms: list[Atom], hint: dict[str, Fraction]):
-    variables = sorted({v for poly, _ in atoms for v in poly.variables()})
+def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
+    """An integer point with every row ``>= 0``, or None."""
+    variables = sorted({v for poly in rows for v in poly.variables()})
     if not variables:
         return {}
     # rounding the rational point first
@@ -464,7 +440,7 @@ def _integer_hunt(atoms: list[Atom], hint: dict[str, Fraction]):
                     {**c, v: o} for c in candidates for o in options
                 ]
             for cand in candidates:
-                if all(p.evaluate(cand) >= 0 for p, _ in atoms):
+                if all(p.evaluate(cand) >= 0 for p in rows):
                     return cand
     # bounded enumeration with partial pruning
     by_prefix: list[list[Polynomial]] = []
@@ -472,7 +448,7 @@ def _integer_hunt(atoms: list[Atom], hint: dict[str, Fraction]):
     for i in range(len(variables)):
         scope = set(variables[: i + 1])
         group = []
-        for j, (poly, _) in enumerate(atoms):
+        for j, poly in enumerate(rows):
             if j not in seen and poly.variables() <= scope:
                 group.append(poly)
                 seen.add(j)
@@ -501,20 +477,6 @@ def _integer_hunt(atoms: list[Atom], hint: dict[str, Fraction]):
         return recurse(0)
     except Unsupported:
         return None
-
-
-def solve_real_clause(atoms: list[Atom]):
-    if any(poly.degree() > 1 for poly, _ in atoms):
-        return "unknown", {}
-    constraints = []
-    for poly, strict in atoms:
-        coeffs = {v: poly.coefficient(((v, 1),)) for v in poly.variables()}
-        constraints.append((coeffs, poly.constant_term(), ">" if strict else ">="))
-    status, point = solve_lp(constraints)
-    if status == "unsat":
-        return "unsat", {}
-    point.pop("eps!", None)
-    return "sat", point
 
 
 # -- driver ---------------------------------------------------------------------
@@ -574,31 +536,29 @@ def _check(declared: dict[str, str], assertions: list):
     sorts = set(declared.values())
     if sorts - {"Int", "Real"} or len(sorts) > 1:
         return "unknown", None
-    is_int = sorts <= {"Int"}
     try:
-        node = ("and", [formula_to_nnf(a, declared, False) for a in assertions])
-        clauses = nnf_to_dnf(node)
-    except Unsupported:
+        if sorts == {"Real"}:
+            rows = [row for a in assertions for row in real_rows(a, declared)]
+            status, model = solve_lp(rows)
+        else:
+            f = mk_and([int_formula(a, declared) for a in assertions])
+            status, model = _solve_clauses(dnf(f, DNF_CAP))
+    except (Unsupported, DnfCapExceeded):
         return "unknown", None
-    if not clauses:
-        return "unsat", None
+    if status != "sat":
+        return status, None
+    return "sat", {v: Fraction(model.get(v, 0)) for v in declared}
 
-    solver = solve_int_clause if is_int else solve_real_clause
+
+def _solve_clauses(clauses: list[tuple[Atom, ...]]):
+    """The first satisfiable clause's model; unsat only if every clause is."""
     saw_unknown = False
     for clause in clauses:
-        try:
-            status, model = solver(clause)
-        except Unsupported:
-            status, model = "unknown", {}
+        status, model = solve_int_clause(clause)
         if status == "sat":
-            if is_int:
-                full = {v: Fraction(model.get(v, 0)) for v in declared}
-            else:
-                full = {v: Fraction(model.get(v, Fraction(0))) for v in declared}
-            return "sat", full
-        if status == "unknown":
-            saw_unknown = True
-    return ("unknown", None) if saw_unknown else ("unsat", None)
+            return status, model
+        saw_unknown = saw_unknown or status == "unknown"
+    return ("unknown" if saw_unknown else "unsat"), {}
 
 
 def _print_value(value: Fraction, sort: str) -> str:

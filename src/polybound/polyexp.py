@@ -114,8 +114,9 @@ def pe_pow(x: PolyExp, exp: int) -> PolyExp:
     while exp:
         if exp & 1:
             result = pe_mul(result, base)
-        base = pe_mul(base, base)
         exp >>= 1
+        if exp:
+            base = pe_mul(base, base)
     return result
 
 

@@ -225,16 +225,27 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str] | None) -> SmtRe
     return SmtResult("unknown", reason="solver reported unknown", transcript=transcript)
 
 
+# Reasons given when the solver process itself broke down, not the query.
+PROCESS_FAILURES = ("no verdict in solver output", "solver not found", "solver failed")
+
+
 @dataclass
 class SmtContext:
-    """Solver configuration threaded through the analysis."""
+    """Solver configuration threaded through the analysis.
+
+    It also tallies the answers: ``decided`` counts sat and unsat answers,
+    ``failures`` holds the reason of every query that failed at the process
+    level.
+    """
 
     solver: list[str] | None = None
     timeout_ms: int = 5000
+    decided: int = field(default=0, init=False)
+    failures: list[str] = field(default_factory=list, init=False)
 
     def sat_int(self, f: Formula) -> SmtResult:
         """Satisfiability of a guard formula over integer-valued variables."""
-        result = _run_solver(int_script(f), self.timeout_ms, self.solver)
+        result = self._solve(int_script(f))
         if result.is_sat:
             for v in formula_vars(f):
                 result.model.setdefault(v, Fraction(0))
@@ -242,9 +253,17 @@ class SmtContext:
 
     def sat_real(self, constraints: list[LinearConstraint]) -> SmtResult:
         """Satisfiability of an affine constraint system over real unknowns."""
-        result = _run_solver(real_script(constraints), self.timeout_ms, self.solver)
+        result = self._solve(real_script(constraints))
         if result.is_sat:
             for c in constraints:
                 for v, _ in c.coeffs:
                     result.model.setdefault(v, Fraction(0))
+        return result
+
+    def _solve(self, script: str) -> SmtResult:
+        result = _run_solver(script, self.timeout_ms, self.solver)
+        if result.is_sat or result.is_unsat:
+            self.decided += 1
+        elif result.reason.startswith(PROCESS_FAILURES):
+            self.failures.append(result.reason)
         return result

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +120,26 @@ def test_deep_nesting_is_input_error(tmp_path, capsys):
     )
     assert main(["analyze", str(deep)]) == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybound.cli", "analyze", fixture("countdown")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RB(" in proc.stdout
+
+
+def test_broken_solver_exits_four(tmp_path, capsys):
+    stub = tmp_path / "stub-solver"
+    stub.write_text("#!/bin/sh\necho nonsense\n")
+    stub.chmod(0o755)
+    assert main(["analyze", fixture("countdown"), "--smt-solver", str(stub)]) == 4
+    assert "solver error: " in capsys.readouterr().err
+    # no query asked, so nothing failed
+    assert main(["analyze", fixture("straight_line"), "--smt-solver", str(stub)]) == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polybound import polyexp
 from polybound.ir import Polynomial
 from polybound.polyexp import (
     PE_ZERO,
@@ -13,6 +14,7 @@ from polybound.polyexp import (
     pe_mul,
     pe_normalize_integer,
     pe_of_poly,
+    pe_pow,
     pe_shift,
     pe_substitute,
     poly_in_n_to_powers,
@@ -214,3 +216,34 @@ def test_ring_laws_on_random_samples():
         assert pe_mul(a, pe_add(b, c)) == pe_add(pe_mul(a, b), pe_mul(a, c))
         # same function built along different routes is structurally equal
         assert pe_add(pe_add(a, b), c) == pe_add(a, pe_add(b, c))
+
+
+def _pe_degree(pe: PolyExp) -> int:
+    return max(q.degree() for q, _, _ in pe.addends)
+
+
+@pytest.mark.parametrize(
+    "owner, name, degree, power, wrap",
+    [
+        (Polynomial, "__mul__", Polynomial.degree, lambda p, e: p**e, lambda p: p),
+        (polyexp, "pe_mul", _pe_degree, pe_pow, pe_of_poly),
+    ],
+    ids=["Polynomial.__pow__", "pe_pow"],
+)
+def test_power_squares_only_while_exponent_bits_remain(
+    monkeypatch, owner, name, degree, power, wrap
+):
+    original = getattr(owner, name)
+    degrees: list[int] = []
+
+    def counting(a, b):
+        product = original(a, b)
+        degrees.append(degree(product))
+        return product
+
+    monkeypatch.setattr(owner, name, counting)
+    power(wrap(x1 + x2), 1)
+    assert len(degrees) == 1
+    degrees.clear()
+    power(wrap(x1 + x2 + x3), 40)
+    assert max(degrees) == 40

@@ -1,3 +1,4 @@
+import io
 import stat
 import sys
 import textwrap
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polybound import minismt
 from polybound.ir import Atom, Polynomial, mk_and, mk_or
 from polybound.minismt import parse_sexprs, solve_lp
 from polybound.smt import (
@@ -131,9 +133,11 @@ def test_parse_model_rationals_and_negatives():
 def test_timeout_yields_unknown(tmp_path):
     slow = tmp_path / "slow_solver.py"
     slow.write_text("import time\ntime.sleep(60)\n")
-    result = SmtContext([sys.executable, str(slow)], timeout_ms=50).sat_int(Atom(x))
+    ctx = SmtContext([sys.executable, str(slow)], timeout_ms=50)
+    result = ctx.sat_int(Atom(x))
     assert result.status == "unknown"
     assert "timeout" in result.reason
+    assert not ctx.failures  # a timeout is not a broken solver
 
 
 def test_missing_solver_binary_is_unknown():
@@ -177,10 +181,10 @@ def test_resolve_solver_falls_back_to_bundled(monkeypatch):
 
 def test_simplex_feasible_point_satisfies_rows():
     constraints = [
-        ({"a": Fraction(1), "b": Fraction(1)}, Fraction(-2), ">="),  # a + b >= 2
-        ({"a": Fraction(-1)}, Fraction(5), ">="),  # a <= 5
-        ({"b": Fraction(-1)}, Fraction(0), ">="),  # b <= 0
-        ({"a": Fraction(1), "b": Fraction(-1)}, Fraction(0), "="),  # a = b
+        LinearConstraint.make({"a": 1, "b": 1}, -2, ">="),  # a + b >= 2
+        LinearConstraint.make({"a": -1}, 5, ">="),  # a <= 5
+        LinearConstraint.make({"b": -1}, 0, ">="),  # b <= 0
+        LinearConstraint.make({"a": 1, "b": -1}, 0, "="),  # a = b
     ]
     status, point = solve_lp(constraints)
     assert status == "unsat"  # a = b and b <= 0 contradict a + b >= 2
@@ -193,8 +197,8 @@ def test_simplex_feasible_point_satisfies_rows():
 
 def test_simplex_strict_boundary_is_unsat():
     constraints = [
-        ({"a": Fraction(1)}, Fraction(0), ">"),  # a > 0
-        ({"a": Fraction(-1)}, Fraction(0), ">="),  # a <= 0
+        LinearConstraint.make({"a": 1}, 0, ">"),  # a > 0
+        LinearConstraint.make({"a": -1}, 0, ">="),  # a <= 0
     ]
     status, _ = solve_lp(constraints)
     assert status == "unsat"
@@ -202,8 +206,59 @@ def test_simplex_strict_boundary_is_unsat():
 
 def test_simplex_negative_solutions_reachable():
     constraints = [
-        ({"a": Fraction(1)}, Fraction(3), "="),  # a = -3
+        LinearConstraint.make({"a": 1}, 3, "="),  # a = -3
     ]
     status, point = solve_lp(constraints)
     assert status == "sat"
     assert point["a"] == -3
+
+
+# -- inputs the bundled solver accepts beyond what the analyzer emits ---------------
+
+
+def bundled(*assertions: str, names: str = "x y", sort: str = "Int") -> list[str]:
+    """The bundled solver's reply lines to a script declaring ``names``."""
+    script = "".join(f"(declare-const {v} {sort})\n" for v in names.split())
+    script += "".join(f"(assert {a})\n" for a in assertions)
+    out = io.StringIO()
+    minismt.run(script + "(check-sat)\n(get-model)\n", out)
+    return out.getvalue().splitlines()
+
+
+def bundled_model(*assertions: str, sort: str = "Int") -> dict[str, Fraction]:
+    lines = bundled(*assertions, sort=sort)
+    assert lines[0] == "sat"
+    return parse_model(parse_sexprs("\n".join(lines[1:])))
+
+
+def test_bundled_int_negated_relation():
+    assert bundled_model("(not (<= x 3))")["x"] == 4
+
+
+def test_bundled_int_equality():
+    assert bundled_model("(= x 2)")["x"] == 2
+
+
+def test_bundled_int_false_is_unsat():
+    assert bundled("false")[0] == "unsat"
+
+
+def test_bundled_int_disjunction_has_model():
+    model = bundled_model("(or (> x 5) (< y (- 7)))", "(>= x y)")
+    assert (model["x"] > 5 or model["y"] < -7) and model["x"] >= model["y"]
+
+
+def test_bundled_real_strict_and_nonstrict():
+    model = bundled_model("(< x 1)", "(>= x 0)", sort="Real")
+    assert 0 <= model["x"] < 1
+
+
+@pytest.mark.parametrize("assertion", ["(or (> x 1) (< x 0))", "(> (* x x) 1)"])
+def test_bundled_real_beyond_conjunctions_of_affine_rows_is_unknown(assertion):
+    assert bundled(assertion, sort="Real")[0] == "unknown"
+
+
+def test_bundled_dnf_cap_is_unknown():
+    names = [f"x{i}" for i in range(11)]
+    split = [f"(or (> {v} 0) (< {v} 0))" for v in names]  # 2^11 clauses
+    assert bundled(*split, names=" ".join(names))[0] == "unknown"
