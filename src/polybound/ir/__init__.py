@@ -1,54 +1,23 @@
-"""Program representation: polynomials, guards, transitions, graph analysis."""
+"""Program representation: polynomials, guards, transitions, graph analysis.
 
-from .formula import (
-    And,
-    Atom,
-    DnfCapExceeded,
-    FALSE,
-    Formula,
-    Or,
-    TRUE,
-    atoms,
-    dnf,
-    eval_formula,
-    formula_vars,
-    map_atoms,
-    mk_and,
-    mk_or,
-    normalize_atom,
-    substitute,
-)
-from .graph import SccDecomposition, entry_transitions, sccs
-from .parser import ParseError, parse_program, print_program
-from .poly import Polynomial
-from .program import Program, ProgramError, Transition, compose_updates
+Like the package root, this imports each exported name's submodule on first
+access.
+"""
 
-__all__ = [
-    "And",
-    "Atom",
-    "DnfCapExceeded",
-    "FALSE",
-    "Formula",
-    "Or",
-    "ParseError",
-    "Polynomial",
-    "Program",
-    "ProgramError",
-    "SccDecomposition",
-    "TRUE",
-    "Transition",
-    "atoms",
-    "compose_updates",
-    "dnf",
-    "entry_transitions",
-    "eval_formula",
-    "formula_vars",
-    "map_atoms",
-    "mk_and",
-    "mk_or",
-    "normalize_atom",
-    "parse_program",
-    "print_program",
-    "sccs",
-    "substitute",
-]
+from .. import _lazy_getattr
+
+_EXPORTS = {
+    "formula": (
+        "And", "Atom", "DnfCapExceeded", "FALSE", "Formula", "Or", "TRUE", "atoms",
+        "dnf", "eval_formula", "formula_vars", "map_atoms", "mk_and", "mk_or",
+        "normalize_atom", "substitute",
+    ),
+    "graph": ("SccDecomposition", "entry_transitions", "sccs"),
+    "parser": ("ParseError", "parse_program", "print_program"),
+    "poly": ("Polynomial",),
+    "program": ("Program", "ProgramError", "Transition", "compose_updates"),
+}
+
+__getattr__ = _lazy_getattr(__name__, globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

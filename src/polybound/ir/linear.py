@@ -1,0 +1,20 @@
+"""Affine constraint rows, the form of a ranking-synthesis query."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+
+@dataclass(frozen=True)
+class LinearConstraint:
+    """``sum(coeffs[v] * v) + const REL 0`` with REL in {=, >=, >}."""
+
+    coeffs: tuple[tuple[str, Fraction], ...]
+    const: Fraction
+    rel: str
+
+    @staticmethod
+    def make(coeffs: dict[str, Fraction], const, rel: str) -> "LinearConstraint":
+        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
+        return LinearConstraint(items, Fraction(const), rel)

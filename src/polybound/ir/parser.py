@@ -272,7 +272,8 @@ class _Parser:
 
     def _paren_is_formula(self) -> bool:
         depth = 0
-        for tok in self.tokens[self.pos :]:
+        for i in range(self.pos, len(self.tokens)):
+            tok = self.tokens[i]
             if tok.kind == "(":
                 depth += 1
             elif tok.kind == ")":

@@ -13,8 +13,11 @@ terms built from ``+ - * /`` and numerals.
   :mod:`polybound.ir` formula and expanded through :func:`polybound.ir.dnf`
   into at most ``DNF_CAP`` clauses.
 - Real: every assertion is a conjunction of affine relations, solved as one
-  system of :class:`polybound.smt.LinearConstraint` rows by an exact
+  system of :class:`polybound.ir.linear.LinearConstraint` rows by an exact
   two-phase simplex.
+
+It imports only the polynomial, formula and row modules of
+:mod:`polybound.ir`, so each query's process starts without the analyzer.
 
 Everything else answers ``unknown``, which callers treat as "no
 information".  The procedure is deliberately incomplete but *sound*:
@@ -47,7 +50,7 @@ from .ir import (
     normalize_atom,
 )
 from .ir.formula import NEGATED_REL
-from .smt import LinearConstraint
+from .ir.linear import LinearConstraint
 
 DNF_CAP = 1024
 ENUM_VALUES = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8]
@@ -127,8 +130,10 @@ def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
             pass
         try:
             return Polynomial.const(Fraction(term))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise Unsupported(f"unknown symbol {term}")
+    if not term:
+        raise Unsupported("empty term")
     head = term[0]
     args = term[1:]
     if head == "+":
@@ -136,7 +141,7 @@ def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
         for a in args:
             result = result + term_to_poly(a, declared)
         return result
-    if head == "-":
+    if head == "-" and args:
         if len(args) == 1:
             return -term_to_poly(args[0], declared)
         result = term_to_poly(args[0], declared)
@@ -148,13 +153,13 @@ def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
         for a in args:
             result = result * term_to_poly(a, declared)
         return result
-    if head == "/":
+    if head == "/" and len(args) == 2:
         num = term_to_poly(args[0], declared)
         den = term_to_poly(args[1], declared)
         if not den.is_const or den.const_value() == 0:
             raise Unsupported("division by non-constant")
         return num.scale(Fraction(1) / den.const_value())
-    raise Unsupported(f"term {head}")
+    raise Unsupported(f"term {head} with {len(args)} arguments")
 
 
 # -- assertions to the analyzer's formulas and rows ----------------------------
@@ -175,6 +180,8 @@ def int_formula(term, declared, negate: bool = False) -> Formula:
         return TRUE if (term == "true") != negate else FALSE
     if isinstance(term, str):
         raise Unsupported(f"boolean symbol {term}")
+    if not term:
+        raise Unsupported("empty assertion")
     head = term[0]
     if head == "not" and len(term) == 2:
         return int_formula(term[1], declared, not negate)
@@ -482,30 +489,47 @@ def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
 # -- driver ---------------------------------------------------------------------
 
 
-def run(script: str, out) -> None:
-    declared: dict[str, str] = {}
-    assertions: list = []
-    answered_sat: dict[str, Fraction] | None = None
-    last_status = "unknown"
+# arguments of the commands that declare or assert
+ARITY = {"declare-const": 2, "declare-fun": 3, "assert": 1}
 
+
+def run(script: str, out) -> None:
+    """Answers each ``check-sat`` of *script* on *out*.
+
+    A script that does not parse answers ``unknown``; so does a malformed
+    command, after which nothing more is answered.
+    """
     try:
         commands = parse_sexprs(script)
     except Exception:
         print("unknown", file=out)
         return
+    try:
+        _execute(commands, out)
+    except Unsupported:
+        print("unknown", file=out)
+
+
+def _execute(commands: list, out) -> None:
+    declared: dict[str, str] = {}
+    assertions: list = []
+    answered_sat: dict[str, Fraction] | None = None
+    last_status = "unknown"
 
     for cmd in commands:
-        if not isinstance(cmd, list) or not cmd:
+        if not isinstance(cmd, list) or not cmd or not isinstance(cmd[0], str):
             continue
         head = cmd[0]
         if head in ("set-logic", "set-option", "set-info"):
             continue
+        if head in ARITY and len(cmd) != ARITY[head] + 1:
+            raise Unsupported(f"{head} with {len(cmd) - 1} arguments")
         if head == "declare-const":
-            declared[cmd[1]] = cmd[2]
+            _declare(declared, cmd[1], cmd[2])
             continue
         if head == "declare-fun":
             if cmd[2] == []:  # only 0-ary functions are constants
-                declared[cmd[1]] = cmd[3]
+                _declare(declared, cmd[1], cmd[3])
             continue
         if head == "assert":
             assertions.append(cmd[1])
@@ -532,6 +556,12 @@ def run(script: str, out) -> None:
             break
 
 
+def _declare(declared: dict[str, str], name, sort) -> None:
+    if not isinstance(name, str) or not isinstance(sort, str):
+        raise Unsupported(f"declaration of {name} as {sort}")
+    declared[name] = sort
+
+
 def _check(declared: dict[str, str], assertions: list):
     sorts = set(declared.values())
     if sorts - {"Int", "Real"} or len(sorts) > 1:
@@ -543,7 +573,7 @@ def _check(declared: dict[str, str], assertions: list):
         else:
             f = mk_and([int_formula(a, declared) for a in assertions])
             status, model = _solve_clauses(dnf(f, DNF_CAP))
-    except (Unsupported, DnfCapExceeded):
+    except (Unsupported, DnfCapExceeded, RecursionError):  # the last: nested too deep
         return "unknown", None
     if status != "sat":
         return status, None

@@ -34,7 +34,8 @@ from .ir import (
     dnf,
     eval_formula,
 )
-from .smt import LinearConstraint, SmtContext
+from .ir.linear import LinearConstraint
+from .smt import SmtContext
 
 VALIDATION_SAMPLES = 1000
 VALIDATION_DRAWS = 8000

@@ -9,6 +9,9 @@ solver can never make the analyzer unsound.
 Solver resolution order: explicit path argument, the ``POLYBOUND_SMT``
 environment variable, a ``z3`` binary on the PATH, and finally the bundled
 fallback procedure (:mod:`polybound.minismt`) run as a subprocess.
+
+Ranking queries are systems of :class:`polybound.ir.linear.LinearConstraint`
+rows, re-exported here.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ir import And, Atom, Formula, formula_vars
+from .ir.linear import LinearConstraint
+from .minismt import parse_sexprs
 
 
 class SolverNotFound(Exception):
@@ -41,20 +46,6 @@ class SmtResult:
     @property
     def is_unsat(self) -> bool:
         return self.status == "unsat"
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``sum(coeffs[v] * v) + const REL 0`` with REL in {=, >=, >}."""
-
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
-    rel: str
-
-    @staticmethod
-    def make(coeffs: dict[str, Fraction], const, rel: str) -> "LinearConstraint":
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return LinearConstraint(items, Fraction(const), rel)
 
 
 def resolve_solver(explicit: str | None = None) -> list[str]:
@@ -214,8 +205,6 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str] | None) -> SmtRe
         return SmtResult("unknown", reason="no verdict in solver output", transcript=transcript)
     if status == "sat":
         try:
-            from .minismt import parse_sexprs
-
             model = parse_model(parse_sexprs("\n".join(rest_lines)))
         except Exception:
             return SmtResult("unknown", reason="unparseable model", transcript=transcript)

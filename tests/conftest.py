@@ -1,5 +1,8 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIXTURE_NAMES = [
     "nested",
@@ -36,6 +40,16 @@ def load_fixture(name: str) -> Program:
 def analyzed_fixture(name: str) -> AnalysisResult:
     """The default analysis of a fixture, computed once per test session."""
     return analyze(load_fixture(name))
+
+
+def run_python(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this checkout."""
+    paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        env=env, timeout=120,
+    )
 
 
 @pytest.fixture

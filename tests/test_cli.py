@@ -1,14 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from polybound.cli import main
 
-from conftest import FIXTURES, FIXTURE_NAMES
+from conftest import FIXTURES, FIXTURE_NAMES, run_python
 
 SCHEMA_PATH = (
     Path(__file__).resolve().parent.parent / "src" / "polybound" / "report_schema.json"
@@ -123,14 +120,7 @@ def test_deep_nesting_is_input_error(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_the_cli():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polybound.cli", "analyze", fixture("countdown")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python(["-m", "polybound.cli", "analyze", fixture("countdown")])
     assert proc.returncode == 0, proc.stderr
     assert "RB(" in proc.stdout
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from polybound.ir import (
@@ -111,3 +113,15 @@ def test_print_parse_roundtrip(name):
     for t1, t2 in zip(program.transitions, reparsed.transitions):
         assert t1.guard == t2.guard
         assert t1.update == t2.update
+
+
+def test_long_guard_of_parenthesized_atoms_parses_in_linear_time():
+    guard = " && ".join(["(x > 0)"] * 16000)
+    text = (
+        "(GOAL COMPLEXITY)\n(STARTTERM (FUNCTIONSYMBOLS l0))\n(VAR x)\n"
+        f"(RULES\n  l0(x) -> l1(x) :|: {guard}\n)\n"
+    )
+    started = time.perf_counter()
+    program = parse_program(text)
+    assert time.perf_counter() - started < 3.0
+    assert program.transitions[0].guard == And((Atom(Polynomial.var("x")),) * 16000)

@@ -19,6 +19,8 @@ from polybound.smt import (
     resolve_solver,
 )
 
+from conftest import run_python
+
 x = Polynomial.var("x")
 y = Polynomial.var("y")
 
@@ -262,3 +264,46 @@ def test_bundled_dnf_cap_is_unknown():
     names = [f"x{i}" for i in range(11)]
     split = [f"(or (> {v} 0) (< {v} 0))" for v in names]  # 2^11 clauses
     assert bundled(*split, names=" ".join(names))[0] == "unknown"
+
+
+@pytest.mark.parametrize("script", [
+    "(declare-const x Int)\n(assert ())\n(check-sat)\n",
+    "(declare-const x Int)\n(assert (> (/ x) 1))\n(check-sat)\n",
+    "(declare-const x)\n(check-sat)\n",
+    "(declare-const x Int)\n(assert " + "(and " * 900 + "(> x 0)" + ")" * 900 + ")\n(check-sat)\n",
+], ids=["empty-assertion", "unary-division", "declaration-without-sort", "nested-too-deep"])
+def test_bundled_malformed_input_is_unknown(script):
+    out = io.StringIO()
+    minismt.run(script, out)
+    assert out.getvalue() == "unknown\n"
+    proc = run_python(["-m", "polybound.minismt"], script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "unknown\n", "")
+
+
+# -- the bundled solver's process, end to end -------------------------------------
+
+
+def child_reply(script: str) -> tuple[str, dict[str, Fraction]]:
+    proc = run_python(["-m", "polybound.minismt"], script)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    verdict, _, rest = proc.stdout.partition("\n")
+    return verdict, parse_model(parse_sexprs(rest))
+
+
+def test_bundled_process_answers_an_int_script():
+    verdict, model = child_reply(int_script(mk_and([Atom(x - 2), Atom(-x + 4)])))
+    assert (verdict, model) == ("sat", {"x": 3})
+
+
+def test_bundled_process_answers_a_real_script():
+    rows = [
+        LinearConstraint.make({"a": 1, "b": 1}, -2, ">="),  # a + b >= 2
+        LinearConstraint.make({"a": 2, "b": -1}, 0, "="),  # 2a = b
+        LinearConstraint.make({"b": -1}, 5, ">"),  # b < 5
+    ]
+    verdict, model = child_reply(real_script(rows))
+    assert verdict == "sat"
+    assert 2 * model["a"] == model["b"] and model["a"] + model["b"] >= 2 and model["b"] < 5
+    assert child_reply(real_script(rows + [LinearConstraint.make({"a": -1}, 0, ">=")])) == (
+        "unsat", {}
+    )
