@@ -184,13 +184,17 @@ class Polynomial:
         return result
 
     def evaluate(self, state: Mapping[str, Scalar]) -> Fraction:
-        total = _ZERO
+        """The value at *state*.  Coefficient denominators are cleared once,
+        the terms summed in ``int`` arithmetic (a ``Fraction`` in the state
+        keeps the sum exact) and divided back at the end."""
+        den = self.denominator_lcm()
+        total = 0
         for mono, coeff in self._terms.items():
-            value = coeff
+            value = coeff.numerator * (den // coeff.denominator)
             for v, e in mono:
-                value = value * Fraction(state[v]) ** e
+                value *= state[v] ** e
             total += value
-        return total
+        return Fraction(total, den)
 
     def evaluate_int(self, state: Mapping[str, Scalar]) -> int:
         value = self.evaluate(state)

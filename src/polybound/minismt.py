@@ -35,6 +35,7 @@ when every DNF clause is refuted by one of
 from __future__ import annotations
 
 import sys
+import time
 from fractions import Fraction
 
 from .ir import (
@@ -227,12 +228,13 @@ def _linear_row(p: Polynomial, rel: str) -> LinearConstraint:
 RHS = -1
 
 
-def solve_lp(constraints: list[LinearConstraint]):
+def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None):
     """Feasibility of ``sum coeffs + const REL 0`` rows, REL in =, >=, >.
 
     Returns (status, point) with status 'sat' or 'unsat'; point maps variable
     names to Fractions, plus ``eps!``, the maximized slack of the '>' rows,
-    when there are any.
+    when there are any.  Raises ``TimeoutError`` if a pivot is due after
+    *deadline*, a :func:`time.monotonic` instant.
     """
     cols: dict[str, int] = {}
 
@@ -274,7 +276,7 @@ def solve_lp(constraints: list[LinearConstraint]):
     obj: dict[int, Fraction] = {j: Fraction(1) for j in basis}
     for row in tableau:
         _eliminate(obj, Fraction(1), row)
-    _simplex(tableau, basis, obj, art_base + nrows)
+    _simplex(tableau, basis, obj, art_base + nrows, deadline)
     if obj.get(RHS):  # the objective's rhs tracks -sum(artificials)
         return "unsat", {}
 
@@ -295,7 +297,7 @@ def solve_lp(constraints: list[LinearConstraint]):
         for i, b in enumerate(basis):
             if b in obj:
                 _eliminate(obj, obj[b], tableau[i])
-        _simplex(tableau, basis, obj, art_base)
+        _simplex(tableau, basis, obj, art_base, deadline)
 
     value = {b: tableau[i].get(RHS, Fraction(0)) for i, b in enumerate(basis)}
     shift = value.get(cols.get("u!"), Fraction(0))
@@ -312,7 +314,7 @@ def solve_lp(constraints: list[LinearConstraint]):
     return "sat", point
 
 
-def _simplex(tableau, basis, obj, limit_col):
+def _simplex(tableau, basis, obj, limit_col, deadline):
     """Bland's rule; pivots until no objective column below zero remains.
 
     The entering column is the lowest one with a negative reduced cost; ties
@@ -338,6 +340,8 @@ def _simplex(tableau, basis, obj, limit_col):
                     best_i = i
         if best_i is None:
             return  # unbounded; caller reads the current point
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("simplex past its deadline")
         _pivot(tableau, basis, best_i, entering)
         _eliminate(obj, obj[entering], tableau[best_i])
 

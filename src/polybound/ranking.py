@@ -52,12 +52,6 @@ class RankingFunction:
     decreasing: frozenset[str]  # transition ids counted (drop >= 1)
     scope: frozenset[str]
 
-    def value(self, loc: str, state: dict[str, int]) -> Fraction:
-        total = self.consts[loc]
-        for v, c in self.coeffs[loc].items():
-            total += c * state[v]
-        return total
-
     def as_poly(self, loc: str) -> Polynomial:
         p = Polynomial.const(self.consts[loc])
         for v, c in self.coeffs[loc].items():
@@ -212,6 +206,7 @@ def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> Non
     every bound derived from it unsound, so this raises instead of degrading.
     """
     rng = random.Random(0)
+    template = {loc: rf.as_poly(loc) for loc in rf.consts}
     for t in scope:
         checked = 0
         for _ in range(VALIDATION_DRAWS):
@@ -222,13 +217,14 @@ def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> Non
                 continue
             checked += 1
             post = {v: t.update[v].evaluate_int(state) for v in p.vars}
-            drop = rf.value(t.src, state) - rf.value(t.tgt, post)
+            value = template[t.src].evaluate(state)
+            drop = value - template[t.tgt].evaluate(post)
             needed = 1 if t.tid in rf.decreasing else 0
             if drop < needed:
                 raise RankingValidationError(
                     f"{t.tid}: drop {drop} below {needed} at {state}"
                 )
-            if t.tid in rf.decreasing and rf.value(t.src, state) < 1:
+            if t.tid in rf.decreasing and value < 1:
                 raise RankingValidationError(
                     f"{t.tid}: template value below 1 at {state}"
                 )

@@ -1,10 +1,16 @@
 """Bridge to an SMT solver over the SMT-LIB2 textual protocol.
 
-One solver process per query: the script is written to the process's
-standard input, the reply parsed from its standard output, and the process
-killed at the timeout.  ``Unknown`` is always a safe outcome for callers
-(bounds stay infinite, verdicts stay undecided), so a broken or missing
-solver can never make the analyzer unsound.
+A query that reaches the solver starts one solver process: the script is
+written to the process's standard input, the reply parsed from its standard
+output, and the process killed at the timeout.  ``Unknown`` is always a safe
+outcome for callers (bounds stay infinite, verdicts stay undecided), so a
+broken or missing solver can never make the analyzer unsound.
+
+Linear systems (ranking queries) are first tried in-process by the bundled
+exact simplex (:func:`polybound.minismt.solve_lp`).  Exact rational
+infeasibility is a proof, so a refuted system answers ``unsat`` without a
+process; every other system goes to the configured solver, whose answer and
+model are kept.  Most ranking systems the analysis poses are infeasible.
 
 Solver resolution order: explicit path argument, the ``POLYBOUND_SMT``
 environment variable, a ``z3`` binary on the PATH, and finally the bundled
@@ -20,12 +26,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ir import And, Atom, Formula, formula_vars
 from .ir.linear import LinearConstraint
-from .minismt import parse_sexprs
+from .minismt import parse_sexprs, solve_lp
 
 
 class SolverNotFound(Exception):
@@ -222,9 +229,10 @@ PROCESS_FAILURES = ("no verdict in solver output", "solver not found", "solver f
 class SmtContext:
     """Solver configuration threaded through the analysis.
 
-    It also tallies the answers: ``decided`` counts sat and unsat answers,
-    ``failures`` holds the reason of every query that failed at the process
-    level.
+    It also tallies the solver's answers: ``decided`` counts sat and unsat
+    answers, ``failures`` holds the reason of every query that failed at the
+    process level.  Systems refuted in-process count in neither, so a broken
+    solver is still told apart from a hard program.
     """
 
     solver: list[str] | None = None
@@ -242,12 +250,24 @@ class SmtContext:
 
     def sat_real(self, constraints: list[LinearConstraint]) -> SmtResult:
         """Satisfiability of an affine constraint system over real unknowns."""
+        if self._refuted(constraints):
+            return SmtResult("unsat", reason="refuted in-process")
         result = self._solve(real_script(constraints))
         if result.is_sat:
             for c in constraints:
                 for v, _ in c.coeffs:
                     result.model.setdefault(v, Fraction(0))
         return result
+
+    def _refuted(self, constraints: list[LinearConstraint]) -> bool:
+        """Whether the exact simplex proves the system infeasible within the
+        timeout; past it, the solver is asked instead."""
+        deadline = time.monotonic() + self.timeout_ms / 1000.0
+        try:
+            status, _ = solve_lp(constraints, deadline)
+        except TimeoutError:
+            return False
+        return status == "unsat"
 
     def _solve(self, script: str) -> SmtResult:
         result = _run_solver(script, self.timeout_ms, self.solver)

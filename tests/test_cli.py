@@ -131,5 +131,8 @@ def test_broken_solver_exits_four(tmp_path, capsys):
     stub.chmod(0o755)
     assert main(["analyze", fixture("countdown"), "--smt-solver", str(stub)]) == 4
     assert "solver error: " in capsys.readouterr().err
+    # some of its ranking systems are refuted in-process, the rest fail
+    assert main(["analyze", fixture("nested"), "--smt-solver", str(stub)]) == 4
+    assert "solver error: " in capsys.readouterr().err
     # no query asked, so nothing failed
     assert main(["analyze", fixture("straight_line"), "--smt-solver", str(stub)]) == 0

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from polybound.ir import Polynomial
 
+from conftest import random_polynomial
+
 x, y, z = Polynomial.var("x"), Polynomial.var("y"), Polynomial.var("z")
 
 
@@ -71,3 +73,30 @@ def test_ring_laws_on_samples(p, q, a, b):
     assert (p * q).evaluate(state) == p.evaluate(state) * q.evaluate(state)
     assert (p + q) == (q + p)
     assert (p * q) == (q * p)
+
+
+def reference_evaluate(p: Polynomial, state) -> Fraction:
+    total = Fraction(0)
+    for mono, coeff in p.items():
+        value = coeff
+        for v, e in mono:
+            value *= Fraction(state[v]) ** e
+        total += value
+    return total
+
+
+@given(st.integers(0, 10**6))
+def test_evaluate_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    p = sum(
+        (random_polynomial(rng, "xyz", max_monomials=3).scale(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+         for _ in range(3)),
+        Polynomial.zero(),
+    )
+    int_state = {v: rng.randint(-50, 50) for v in "xyz"}
+    frac_state = {v: Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for v in "xyz"}
+    for state in (int_state, frac_state, {**int_state, "y": frac_state["y"]}):
+        value = p.evaluate(state)
+        assert isinstance(value, Fraction)
+        assert value == reference_evaluate(p, state)

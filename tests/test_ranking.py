@@ -20,9 +20,10 @@ def test_countdown_rf(countdown):
     rf = synthesize_lrf(countdown, [t1], [t1])
     assert rf is not None
     # decrease and nonnegativity, checked by substitution on guarded states
+    template = rf.as_poly("l1")
     for start in range(1, 30):
-        value = rf.value("l1", {"x": start})
-        after = rf.value("l1", {"x": start - 1})
+        value = template.evaluate({"x": start})
+        after = template.evaluate({"x": start - 1})
         assert value - after >= 1
         assert value >= 1
 

@@ -1,12 +1,15 @@
 import io
+import math
 import stat
 import sys
 import textwrap
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from polybound import minismt
+from polybound.engine import AnalysisConfig, analyze
 from polybound.ir import Atom, Polynomial, mk_and, mk_or
 from polybound.minismt import parse_sexprs, solve_lp
 from polybound.smt import (
@@ -19,7 +22,7 @@ from polybound.smt import (
     resolve_solver,
 )
 
-from conftest import run_python
+from conftest import FIXTURE_NAMES, load_fixture, run_python
 
 x = Polynomial.var("x")
 y = Polynomial.var("y")
@@ -176,6 +179,67 @@ def test_resolve_solver_falls_back_to_bundled(monkeypatch):
     monkeypatch.delenv("POLYBOUND_SMT", raising=False)
     monkeypatch.setenv("PATH", "/definitely/not/a/path")
     assert resolve_solver() == FALLBACK
+
+
+# -- linear systems refuted in-process -------------------------------------------
+
+INFEASIBLE = [  # phase 1 of the simplex pivots before it refutes this
+    LinearConstraint.make({"a": 1}, -1, ">="),  # a >= 1
+    LinearConstraint.make({"b": 1}, -1, ">="),  # b >= 1
+    LinearConstraint.make({"a": -1, "b": -1}, 1, ">="),  # a + b <= 1
+]
+
+
+def stub_solver(tmp_path, body: str) -> list[str]:
+    stub = tmp_path / "stub-solver"
+    stub.write_text("#!/bin/sh\n" + body)
+    stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+    return [str(stub)]
+
+
+def test_infeasible_system_starts_no_solver(tmp_path):
+    marker = tmp_path / "called"
+    ctx = SmtContext(stub_solver(tmp_path, f"touch {marker}\nexit 1\n"))
+    result = ctx.sat_real(INFEASIBLE)
+    assert result.is_unsat
+    assert not marker.exists(), "the solver was started"
+    # only the solver's answers count, so a broken solver still shows
+    assert ctx.decided == 0 and not ctx.failures
+
+
+def test_feasible_system_keeps_the_solvers_model(tmp_path):
+    ctx = SmtContext(stub_solver(
+        tmp_path, "echo sat\necho '((define-fun a () Real 7.0))'\n"))
+    result = ctx.sat_real(INFEASIBLE[:1])  # a >= 1; the simplex would pick a = 1
+    assert result.is_sat
+    assert result.model == {"a": Fraction(7)}
+    assert ctx.decided == 1
+
+
+def test_expired_budget_falls_through_to_the_solver(tmp_path, monkeypatch):
+    monkeypatch.setattr(minismt, "time", SimpleNamespace(monotonic=lambda: math.inf))
+    ctx = SmtContext(stub_solver(tmp_path, "echo unsat\n"))
+    assert ctx.sat_real(INFEASIBLE).is_unsat
+    assert ctx.decided == 1  # the solver answered, not the simplex
+
+
+def test_in_process_refutations_agree_with_the_bundled_child():
+    asked: list[list[LinearConstraint]] = []
+
+    class Recording(SmtContext):
+        def sat_real(self, constraints):
+            asked.append(list(constraints))
+            return super().sat_real(constraints)
+
+    smt = Recording(solver=FALLBACK)
+    for name in FIXTURE_NAMES:
+        analyze(load_fixture(name), AnalysisConfig(smt=smt))
+    refuted = [c for c in asked if solve_lp(c)[0] == "unsat"]
+    assert refuted and len(refuted) < len(asked)
+    for constraints in refuted:
+        script = real_script(constraints)
+        proc = run_python(["-m", "polybound.minismt"], stdin=script)
+        assert proc.stdout.split()[:1] == ["unsat"], script
 
 
 # -- the bundled simplex -----------------------------------------------------------
