@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .poly import Polynomial
+
 
 @dataclass(frozen=True)
 class LinearConstraint:
@@ -18,3 +20,11 @@ class LinearConstraint:
     def make(coeffs: dict[str, Fraction], const, rel: str) -> "LinearConstraint":
         items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
         return LinearConstraint(items, Fraction(const), rel)
+
+    @staticmethod
+    def from_poly(p: Polynomial, rel: str) -> "LinearConstraint":
+        """The row ``p REL 0`` of an affine polynomial."""
+        if p.degree() > 1:
+            raise ValueError(f"not affine: {p}")
+        coeffs = {v: p.coefficient(((v, 1),)) for v in p.variables()}
+        return LinearConstraint.make(coeffs, p.constant_term(), rel)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .formula import (
     NEGATED_REL,
@@ -32,6 +33,11 @@ from .formula import (
 )
 from .poly import Polynomial
 from .program import Program, Transition
+
+# Products and powers are checked before they are expanded: a one-line power
+# of a sum could otherwise stall the analysis before any solver timeout.
+MAX_EXPONENT = 64
+MAX_MONOMIALS = 512
 
 
 class ParseError(Exception):
@@ -299,9 +305,10 @@ class _Parser:
     def term(self, variables) -> Polynomial:
         result = self.factor(variables)
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+            op_tok = self.next()
             rhs = self.factor(variables)
-            if op == "*":
+            if op_tok.kind == "*":
+                _check_expansion(result.term_count() * rhs.term_count(), op_tok)
                 result = result * rhs
             else:
                 tok = self.peek()
@@ -323,8 +330,14 @@ class _Parser:
         base = self.atom_expr(variables)
         while self.peek().kind == "^":
             self.next()
-            exp_tok = self.expect("int", "integer exponent")
-            base = base ** int(exp_tok.value)
+            tok = self.expect("int", "integer exponent")
+            exp, count = int(tok.value), base.term_count()
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} above the cap of {MAX_EXPONENT}",
+                                 tok.line, tok.col)
+            # each monomial of the power is a product of exp of the base's
+            _check_expansion(comb(count + exp - 1, exp) if count else 1, tok)
+            base = base**exp
         return base
 
     def atom_expr(self, variables) -> Polynomial:
@@ -340,6 +353,13 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"expected expression, found {tok.value!r}", tok.line, tok.col)
+
+
+def _check_expansion(bound: int, tok: Token) -> None:
+    """Reject a product that may expand to more than MAX_MONOMIALS monomials."""
+    if bound > MAX_MONOMIALS:
+        raise ParseError(f"expression expands to up to {bound} monomials, above the "
+                         f"cap of {MAX_MONOMIALS}", tok.line, tok.col)
 
 
 def _to_formula(ast, negated: bool) -> Formula:

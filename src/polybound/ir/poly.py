@@ -77,6 +77,9 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self._terms.items())
 
+    def term_count(self) -> int:
+        return len(self._terms)
+
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, _ZERO)
 

@@ -209,12 +209,7 @@ def real_rows(term, declared) -> list[LinearConstraint]:
         rel, diff = {"<": ">", "<=": ">="}[rel], -diff
     if diff.degree() > 1:
         raise Unsupported("non-linear real term")
-    return [_linear_row(diff, rel)]
-
-
-def _linear_row(p: Polynomial, rel: str) -> LinearConstraint:
-    coeffs = {v: p.coefficient(((v, 1),)) for v in p.variables()}
-    return LinearConstraint.make(coeffs, p.constant_term(), rel)
+    return [LinearConstraint.from_poly(diff, rel)]
 
 
 # -- exact two-phase simplex ---------------------------------------------------
@@ -423,7 +418,7 @@ def solve_int_clause(clause: tuple[Atom, ...]):
         return "sat", {}
 
     if all(poly.degree() <= 1 for poly in rows):
-        status, point = solve_lp([_linear_row(poly, ">=") for poly in rows])
+        status, point = solve_lp([LinearConstraint.from_poly(poly, ">=") for poly in rows])
         if status == "unsat":
             return "unsat", {}
         model = _integer_hunt(rows, point)

@@ -16,11 +16,14 @@ Guard atoms are strict over the integers, so ``p > 0`` enters as
 (weakening it only shrinks the space of valid templates) and template
 coefficients of variables with non-linear updates are pinned to zero so the
 composed template stays affine.
+
+Every synthesized function is then proved from its templates alone: the
+exact simplex must refute each guard clause's rows joined with the negation
+of each implication, so a wrong encoding or solver model is caught.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,17 +35,15 @@ from .ir import (
     Program,
     Transition,
     dnf,
-    eval_formula,
 )
 from .ir.linear import LinearConstraint
+from .minismt import solve_lp
 from .smt import SmtContext
-
-VALIDATION_SAMPLES = 1000
-VALIDATION_DRAWS = 8000
 
 
 class RankingValidationError(Exception):
-    """Post-hoc sampling found a violated invariant: a soundness bug."""
+    """A synthesized ranking function violates one of its invariants at the
+    named point, or its composed template is not affine: a soundness bug."""
 
 
 @dataclass
@@ -50,7 +51,6 @@ class RankingFunction:
     coeffs: dict[str, dict[str, Fraction]]  # location -> var -> coefficient
     consts: dict[str, Fraction]
     decreasing: frozenset[str]  # transition ids counted (drop >= 1)
-    scope: frozenset[str]
 
     def as_poly(self, loc: str) -> Polynomial:
         p = Polynomial.const(self.consts[loc])
@@ -111,35 +111,18 @@ def synthesize_lrf(
         coefficients, ``target_const`` to their constant contribution.
         """
         nonlocal mult_count
-        rows: list[Polynomial] = []
-        for atom in clause:
-            if atom.poly.degree() <= 1:
-                rows.append(atom.poly - 1)  # p > 0 over Z
-        mults = []
-        for _ in rows:
-            name = f"l!{mult_count}"
-            mult_count += 1
-            mults.append(name)
-            constraints.append(LinearConstraint.make({name: Fraction(1)}, 0, ">="))
-        program_vars = sorted(p.vars)
-        for v in program_vars:
-            coeffs: dict[str, Fraction] = {}
-            for tmpl, per_var in target.items():
-                c = per_var.get(v, Fraction(0))
-                if c:
-                    coeffs[tmpl] = coeffs.get(tmpl, Fraction(0)) + c
-            for name, row in zip(mults, rows):
-                rc = row.coefficient(((v, 1),))
-                if rc:
-                    coeffs[name] = coeffs.get(name, Fraction(0)) - rc
-            if coeffs:
+        rows = _linear_rows(clause)
+        mults = [f"l!{mult_count + i}" for i in range(len(rows))]
+        mult_count += len(rows)
+        constraints.extend(LinearConstraint.make({name: 1}, 0, ">=") for name in mults)
+        for v in sorted(p.vars):
+            coeffs = {tmpl: per_var.get(v, 0) for tmpl, per_var in target.items()}
+            coeffs.update((name, -row.coefficient(((v, 1),))) for name, row in zip(mults, rows))
+            if any(coeffs.values()):
                 constraints.append(LinearConstraint.make(coeffs, 0, "="))
         # constant row: target_const + offset - sum(mult * row_const) >= 0
         coeffs = dict(target_const)
-        for name, row in zip(mults, rows):
-            rc = row.constant_term()
-            if rc:
-                coeffs[name] = coeffs.get(name, Fraction(0)) - rc
+        coeffs.update((name, -row.constant_term()) for name, row in zip(mults, rows))
         constraints.append(LinearConstraint.make(coeffs, offset, ">="))
 
     try:
@@ -147,39 +130,23 @@ def synthesize_lrf(
             clauses = dnf(t.guard)
             delta = Fraction(1) if t.tid in decreasing_ids else Fraction(0)
             # f_src(x) - f_tgt(update(x)) - delta >= 0
-            target: dict[str, dict[str, Fraction]] = {}
-            target_const: dict[str, Fraction] = {}
-            for v in p.vars:
-                target.setdefault(c_var(t.src, v), {})[v] = Fraction(1)
-            target_const[c_const(t.src)] = Fraction(1)
+            source = {c_var(t.src, v): {v: Fraction(1)} for v in p.vars}
+            target = {name: dict(per_var) for name, per_var in source.items()}
+            target_const = {c_const(t.src): Fraction(1)}
             for w in p.vars:
                 rhs = t.update[w]
                 if rhs.degree() > 1:
                     continue  # its coefficient is pinned to zero
+                name = c_var(t.tgt, w)
+                per_var = target.setdefault(name, {})
                 for v in p.vars:
-                    c = rhs.coefficient(((v, 1),))
-                    if c:
-                        target.setdefault(c_var(t.tgt, w), {})[v] = (
-                            target.setdefault(c_var(t.tgt, w), {}).get(v, Fraction(0))
-                            - c
-                        )
-                const = rhs.constant_term()
-                if const:
-                    target_const[c_var(t.tgt, w)] = (
-                        target_const.get(c_var(t.tgt, w), Fraction(0)) - const
-                    )
-            target_const[c_const(t.tgt)] = (
-                target_const.get(c_const(t.tgt), Fraction(0)) - 1
-            )
+                    per_var[v] = per_var.get(v, 0) - rhs.coefficient(((v, 1),))
+                target_const[name] = target_const.get(name, 0) - rhs.constant_term()
+            target_const[c_const(t.tgt)] = target_const.get(c_const(t.tgt), 0) - 1
             for clause in clauses:
                 implication(clause, target, target_const, -delta)
                 if t.tid in decreasing_ids:
-                    nonneg_target = {
-                        c_var(t.src, v): {v: Fraction(1)} for v in p.vars
-                    }
-                    implication(
-                        clause, nonneg_target, {c_const(t.src): Fraction(1)}, Fraction(-1)
-                    )
+                    implication(clause, source, {c_const(t.src): Fraction(1)}, Fraction(-1))
     except DnfCapExceeded:
         return None
 
@@ -193,41 +160,43 @@ def synthesize_lrf(
         for loc in locations
     }
     consts = {loc: result.model.get(c_const(loc), Fraction(0)) for loc in locations}
-    rf = RankingFunction(coeffs, consts, frozenset(decreasing_ids),
-                         frozenset(t.tid for t in scope))
+    rf = RankingFunction(coeffs, consts, frozenset(decreasing_ids))
     validate_rf(p, rf, scope)
     return rf
 
 
-def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> None:
-    """Check the invariants on random guard-satisfying states; loud on failure.
+def _linear_rows(clause: tuple[Atom, ...]) -> list[Polynomial]:
+    """The clause's linear atoms ``p > 0`` as rows ``p - 1 >= 0``, exact over
+    the integers; non-linear atoms are dropped, which enlarges the region."""
+    return [atom.poly - 1 for atom in clause if atom.poly.degree() <= 1]
 
-    A violation means the synthesized certificate is wrong, which would make
-    every bound derived from it unsound, so this raises instead of degrading.
+
+def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> None:
+    """Prove the invariants at every real point of each guard clause's rows.
+
+    A violation means the certificate is wrong, which would make every bound
+    derived from it unsound, so this raises instead of degrading.
     """
-    rng = random.Random(0)
     template = {loc: rf.as_poly(loc) for loc in rf.consts}
     for t in scope:
-        checked = 0
-        for _ in range(VALIDATION_DRAWS):
-            if checked >= VALIDATION_SAMPLES:
-                break
-            state = {v: rng.randint(-60, 60) for v in p.vars}
-            if not eval_formula(t.guard, state):
-                continue
-            checked += 1
-            post = {v: t.update[v].evaluate_int(state) for v in p.vars}
-            value = template[t.src].evaluate(state)
-            drop = value - template[t.tgt].evaluate(post)
-            needed = 1 if t.tid in rf.decreasing else 0
-            if drop < needed:
-                raise RankingValidationError(
-                    f"{t.tid}: drop {drop} below {needed} at {state}"
-                )
-            if t.tid in rf.decreasing and value < 1:
-                raise RankingValidationError(
-                    f"{t.tid}: template value below 1 at {state}"
-                )
+        value = template[t.src]
+        drop = value - template[t.tgt].substitute(t.update)
+        if drop.degree() > 1:
+            raise RankingValidationError(f"{t.tid}: composed template drop {drop} is not affine")
+        counted = t.tid in rf.decreasing
+        checks = [("drop", drop, 1 if counted else 0)]
+        if counted:
+            checks.append(("template value", value, 1))
+        for clause in dnf(t.guard):
+            rows = [LinearConstraint.from_poly(row, ">=") for row in _linear_rows(clause)]
+            for what, quantity, least in checks:
+                status, point = solve_lp(rows + [LinearConstraint.from_poly(least - quantity, ">")])
+                if status != "unsat":
+                    at = {v: point.get(v, Fraction(0)) for v in p.vars}
+                    raise RankingValidationError(
+                        f"{t.tid}: {what} {quantity.evaluate(at)} below {least} at "
+                        + ", ".join(f"{v}={n}" for v, n in at.items())
+                    )
 
 
 def rf_local_bound(rf: RankingFunction, entries: list[Transition]) -> Bound:

@@ -238,12 +238,3 @@ def _addends_at(g: PolyExp, k: int) -> Polynomial:
         total = total + q.scale(Fraction(k**a if a else 1) * Fraction(b) ** k)
     return total
 
-
-def iterate_update(
-    update: dict[str, Polynomial], state: dict[str, int], n: int
-) -> dict[str, int]:
-    """Apply the update n times to a concrete state (test oracle)."""
-    current = dict(state)
-    for _ in range(n):
-        current = {v: rhs.evaluate_int(current) for v, rhs in update.items()}
-    return current

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from polybound.engine import AnalysisResult, analyze
-from polybound.ir import Polynomial, Program, Transition, TRUE, parse_program
+from polybound.ir import Polynomial, Program, Transition, TRUE, eval_formula, parse_program
 from polybound.sim import make_config, step
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -65,6 +65,47 @@ def geo_race() -> Program:
 @pytest.fixture
 def countdown() -> Program:
     return load_fixture("countdown")
+
+
+def iterate_update(
+    update: dict[str, Polynomial], state: dict[str, int], n: int
+) -> dict[str, int]:
+    """Apply the update n times to a concrete state."""
+    current = dict(state)
+    for _ in range(n):
+        current = {v: rhs.evaluate_int(current) for v, rhs in update.items()}
+    return current
+
+
+# A semantic oracle for ranking functions: per transition, up to 1000
+# guard-satisfying integer states of [-60, 60]^vars from 8000 seeded draws.
+SAMPLED_STATES = 1000
+SAMPLE_DRAWS = 8000
+
+
+def sampled_rf_violation(p: Program, rf, scope: list[Transition]) -> str | None:
+    """A violated ranking-function invariant at a sampled integer state, or
+    None when every sampled state satisfies both."""
+    rng = random.Random(0)
+    template = {loc: rf.as_poly(loc) for loc in rf.consts}
+    for t in scope:
+        checked = 0
+        for _ in range(SAMPLE_DRAWS):
+            if checked >= SAMPLED_STATES:
+                break
+            state = {v: rng.randint(-60, 60) for v in p.vars}
+            if not eval_formula(t.guard, state):
+                continue
+            checked += 1
+            post = {v: t.update[v].evaluate_int(state) for v in p.vars}
+            value = template[t.src].evaluate(state)
+            drop = value - template[t.tgt].evaluate(post)
+            needed = 1 if t.tid in rf.decreasing else 0
+            if drop < needed:
+                return f"{t.tid}: drop {drop} below {needed} at {state}"
+            if t.tid in rf.decreasing and value < 1:
+                return f"{t.tid}: template value below 1 at {state}"
+    return None
 
 
 def random_polynomial(rng: random.Random, variables, max_degree=3, max_coeff=9,

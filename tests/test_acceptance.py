@@ -23,13 +23,14 @@ from polybound.engine import AnalysisConfig, analyze
 from polybound.ir import Atom, Polynomial, Transition, eval_formula, mk_and
 from polybound.polyexp import PolyExp, faulhaber, pe_eval, poly_in_n_to_powers, sum_geo_poly
 from polybound.sim import exhaustive_run
-from polybound.twn import closed_form, iterate_update, twn_check
+from polybound.twn import closed_form, twn_check
 from polybound.twnbounds import TwnAnalysis, analyze_self_loop, prove_termination
 
 from conftest import (
     FIXTURES,
     FIXTURE_NAMES,
     analyzed_fixture,
+    iterate_update,
     load_fixture,
     random_twn_transition,
 )

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,3 +138,44 @@ def test_broken_solver_exits_four(tmp_path, capsys):
     assert "solver error: " in capsys.readouterr().err
     # no query asked, so nothing failed
     assert main(["analyze", fixture("straight_line"), "--smt-solver", str(stub)]) == 0
+
+
+def test_oversized_power_is_input_error(tmp_path, capsys):
+    power = tmp_path / "power.its"
+    power.write_text(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x y z w)"
+        "(RULES l0(x,y,z,w) -> l1(x,y,z,w)"
+        "  l1(x,y,z,w) -> l1(x-1,y,z,w) :|: (x+y+z+w)^40 > 0)"
+    )
+    started = time.perf_counter()
+    assert main(["analyze", str(power)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "input error: " in capsys.readouterr().err
+
+
+ZERO_MODEL_SOLVER = """#!{python}
+import re, sys
+
+script = sys.stdin.read()
+if "QF_NRA" not in script:
+    print("unknown")
+    sys.exit()
+print("sat")
+print("(")
+for name in re.findall(r"\\(declare-const (\\S+) Real\\)", script):
+    print(f"  (define-fun {{name}} () Real 0.0)")
+print(")")
+"""
+
+
+def test_wrong_solver_model_is_internal_error(tmp_path, monkeypatch, capsys):
+    # every ranking system is "sat" with the all-zero model, which is no
+    # ranking function: the exact check must stop the analysis
+    stub = tmp_path / "zero-model-solver"
+    stub.write_text(ZERO_MODEL_SOLVER.format(python=sys.executable))
+    stub.chmod(0o755)
+    monkeypatch.setenv("POLYBOUND_SMT", str(stub))
+    assert main(["analyze", fixture("countdown")]) == 4
+    out, err = capsys.readouterr()
+    assert "internal error: t1: drop 0 below 1 at x=1" in err
+    assert "Overall runtime bound" not in out

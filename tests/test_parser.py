@@ -125,3 +125,30 @@ def test_long_guard_of_parenthesized_atoms_parses_in_linear_time():
     program = parse_program(text)
     assert time.perf_counter() - started < 3.0
     assert program.transitions[0].guard == And((Atom(Polynomial.var("x")),) * 16000)
+
+
+def four_variable_rule(guard: str = "x > 0", update: str = "x-1") -> str:
+    return (
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x y z w)"
+        f"(RULES l0(x,y,z,w) -> l1(x,y,z,w)  l1(x,y,z,w) -> l1({update},y,z,w) :|: {guard})"
+    )
+
+
+@pytest.mark.parametrize("text, message", [
+    (four_variable_rule("(x+y+z+w)^40 > 0"), "up to 12341 monomials"),
+    (four_variable_rule(update="(x+y+z+w)^20"), "up to 1771 monomials"),
+    (four_variable_rule("(x+y+z+w)^7*(x+y+z+w)^7 > 0"), "up to 14400 monomials"),
+    (four_variable_rule("x^65 > 0"), "exponent 65 above the cap of 64"),
+])
+def test_oversized_expansions_are_rejected_before_expanding(text, message):
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=message):
+        parse_program(text)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_expansions_within_the_caps_parse():
+    # (0)^0: a base without monomials
+    p = parse_program(four_variable_rule("(x+y+z+w)^11 > 0 && x^64 > 0 && (0)^0 > 0"))
+    power = p.transition("t1").guard.children[0]
+    assert power.poly.term_count() == 364  # binomial(11 + 3, 3)

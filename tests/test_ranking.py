@@ -1,9 +1,16 @@
+import dataclasses
+import importlib.util
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polybound import ranking
 from polybound.bounds import bound_eval
-from polybound.ir import entry_transitions, parse_program
+from polybound.engine import AnalysisConfig, analyze
+from polybound.ir import dnf, entry_transitions, eval_formula, parse_program
 from polybound.ranking import (
     RankingFunction,
     RankingValidationError,
@@ -12,7 +19,9 @@ from polybound.ranking import (
     validate_rf,
 )
 
-from conftest import load_fixture
+from conftest import FIXTURE_NAMES, load_fixture, sampled_rf_violation
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def test_countdown_rf(countdown):
@@ -72,7 +81,6 @@ def test_rf_local_bound_examples():
         coeffs={"l1": {"x4": Fraction(1)}},
         consts={"l1": Fraction(0)},
         decreasing=frozenset({"t1"}),
-        scope=frozenset({"t1"}),
     )
     p = load_fixture("nested")
     entries = [p.transition("t0")]  # targets l1
@@ -83,7 +91,6 @@ def test_rf_local_bound_examples():
         coeffs={"l1": {"x4": Fraction(1)}},
         consts={"l1": Fraction(-3)},
         decreasing=frozenset({"t1"}),
-        scope=frozenset({"t1"}),
     )
     bound2 = rf_local_bound(rf2, entries)
     assert bound_eval(bound2, {v: 5 for v in p.vars}) == 8  # |x4| + |-3|
@@ -95,7 +102,6 @@ def test_rf_local_bound_sums_distinct_entry_targets():
         coeffs={"l1": {"x": Fraction(1)}, "l2": {"y": Fraction(1)}},
         consts={"l1": Fraction(0), "l2": Fraction(0)},
         decreasing=frozenset({"t1"}),
-        scope=frozenset({"t1", "t2"}),
     )
     entries = [p.transition("t0"), p.transition("t1")]  # target l1 and l2
     bound = rf_local_bound(rf, entries)
@@ -107,7 +113,6 @@ def test_validation_rejects_wrong_certificate(countdown):
         coeffs={"l1": {"x": Fraction(-1)}},  # increases along the loop
         consts={"l1": Fraction(0)},
         decreasing=frozenset({"t1"}),
-        scope=frozenset({"t1"}),
     )
     with pytest.raises(RankingValidationError):
         validate_rf(countdown, bogus, [countdown.transition("t1")])
@@ -119,3 +124,102 @@ def test_synthesized_rf_respects_pinned_nonlinear_targets(nested):
     # x2 is updated non-linearly by t3 (which targets l2), so its template
     # coefficient at l2 must be zero for the composition to stay affine
     assert rf.coeffs["l2"].get("x2", Fraction(0)) == 0
+
+
+def synthesized_rfs(programs, cfg_factory=AnalysisConfig):
+    """Every (program, ranking function, scope) that the analyses of
+    *programs* synthesize and accept."""
+    found = []
+    original = ranking.validate_rf
+
+    def recording(p, rf, scope):
+        original(p, rf, scope)
+        found.append((p, rf, scope))
+
+    ranking.validate_rf = recording
+    try:
+        for p in programs:
+            analyze(p, cfg_factory())
+    finally:
+        ranking.validate_rf = original
+    return found
+
+
+def benchmark_rings(seeds):
+    """The ranking-only rings of the benchmark's ``ranking_wide`` workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [parse_program(job.text) for seed in seeds
+            for job in workloads.ranking_wide(seed)]
+
+
+@pytest.fixture(scope="module")
+def fixture_rfs():
+    return synthesized_rfs([load_fixture(name) for name in FIXTURE_NAMES])
+
+
+def test_accepted_rfs_pass_the_sampling_oracle(fixture_rfs):
+    ring_rfs = synthesized_rfs(
+        benchmark_rings([1, 2]), lambda: AnalysisConfig(twn_enabled=False)
+    )
+    assert len(fixture_rfs) >= 5 and len(ring_rfs) >= 10
+    for p, rf, scope in fixture_rfs + ring_rfs:
+        assert sampled_rf_violation(p, rf, scope) is None, rf
+
+
+def guard_state(p, t):
+    """An integer state in which *t* can fire, or None."""
+    rng = random.Random(0)
+    for _ in range(8000):
+        state = {v: rng.randint(-60, 60) for v in p.vars}
+        if eval_formula(t.guard, state):
+            return state
+    return None
+
+
+def assert_rejected_at_a_witness(p, rf, scope):
+    """validate_rf raises, and the point its message names satisfies the
+    linear atoms of a guard clause and violates the named invariant by the
+    named amount."""
+    with pytest.raises(RankingValidationError) as info:
+        validate_rf(p, rf, scope)
+    head, _, at = str(info.value).partition(" at ")
+    tid, _, claim = head.partition(": ")
+    what, amount, _, least = claim.rsplit(" ", 3)
+    witness = dict(part.split("=") for part in at.split(", "))
+    witness = {v: Fraction(witness[v]) for v in p.vars}
+    t = p.transition(tid)
+    assert any(
+        all(a.poly.evaluate(witness) >= 1 for a in clause if a.poly.degree() <= 1)
+        for clause in dnf(t.guard)
+    )
+    value = rf.as_poly(t.src).evaluate(witness)
+    if what == "drop":
+        post = {v: t.update[v].evaluate(witness) for v in p.vars}
+        value -= rf.as_poly(t.tgt).evaluate(post)
+    else:
+        assert what == "template value" and tid in rf.decreasing
+    assert value == Fraction(amount) < int(least)
+
+
+def test_mutated_rfs_are_rejected_with_a_witness(fixture_rfs):
+    mutated = 0
+    for p, rf, scope in fixture_rfs:
+        for t in scope:
+            state = guard_state(p, t)
+            if t.tid not in rf.decreasing or state is None:
+                continue
+            # value 0 where t fires
+            consts = dict(rf.consts)
+            consts[t.src] -= rf.as_poly(t.src).evaluate(state)
+            assert_rejected_at_a_witness(p, dataclasses.replace(rf, consts=consts), scope)
+            # negate the template's first nonzero coefficient at t's source
+            var = next((v for v in p.vars if rf.coeffs[t.src][v]), None)
+            if var is not None:
+                coeffs = {loc: dict(c) for loc, c in rf.coeffs.items()}
+                coeffs[t.src][var] = -coeffs[t.src][var]
+                assert_rejected_at_a_witness(p, dataclasses.replace(rf, coeffs=coeffs), scope)
+            mutated += 1
+    assert mutated >= 5

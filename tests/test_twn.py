@@ -10,11 +10,10 @@ from polybound.twn import (
     NotSelfLoop,
     chain,
     closed_form,
-    iterate_update,
     twn_check,
 )
 
-from conftest import random_twn_transition
+from conftest import iterate_update, random_twn_transition
 
 x, x1, x2, x3 = (Polynomial.var(v) for v in ("x", "x1", "x2", "x3"))
 
