@@ -331,7 +331,7 @@ class _Parser:
         while self.peek().kind == "^":
             self.next()
             tok = self.expect("int", "integer exponent")
-            exp, count = int(tok.value), base.term_count()
+            exp, count = _int(tok), base.term_count()
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} above the cap of {MAX_EXPONENT}",
                                  tok.line, tok.col)
@@ -343,7 +343,7 @@ class _Parser:
     def atom_expr(self, variables) -> Polynomial:
         tok = self.next()
         if tok.kind == "int":
-            return Polynomial.const(int(tok.value))
+            return Polynomial.const(_int(tok))
         if tok.kind == "ident":
             if tok.value not in variables:
                 raise ParseError(f"unknown variable {tok.value}", tok.line, tok.col)
@@ -353,6 +353,14 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"expected expression, found {tok.value!r}", tok.line, tok.col)
+
+
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.value)
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(f"integer literal of {len(tok.value)} digits is too long",
+                         tok.line, tok.col) from None
 
 
 def _check_expansion(bound: int, tok: Token) -> None:

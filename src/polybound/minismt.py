@@ -13,8 +13,8 @@ terms built from ``+ - * /`` and numerals.
   :mod:`polybound.ir` formula and expanded through :func:`polybound.ir.dnf`
   into at most ``DNF_CAP`` clauses.
 - Real: every assertion is a conjunction of affine relations, solved as one
-  system of :class:`polybound.ir.linear.LinearConstraint` rows by an exact
-  two-phase simplex.
+  system of :class:`polybound.ir.linear.LinearConstraint` rows by an exact,
+  fraction-free two-phase simplex.
 
 It imports only the polynomial, formula and row modules of
 :mod:`polybound.ir`, so each query's process starts without the analyzer.
@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .ir import (
     FALSE,
@@ -216,11 +218,21 @@ def real_rows(term, declared) -> list[LinearConstraint]:
 #
 # Feasibility over the rationals.  Free variables are translated as
 # x_i = p_i - u with one shared nonnegative shift u; strict inequalities get a
-# jointly maximized slack eps in (0, 1].  Tableau rows are sparse
-# ``column -> coefficient`` dicts holding no zeros; the right-hand side is
-# stored under the column RHS.
+# jointly maximized slack eps in (0, 1].  The arithmetic is exact but
+# fraction-free: a tableau row is a sparse ``column -> int`` dict holding no
+# zeros, over one positive denominator, and the right-hand side is stored
+# under the column RHS.  Rows are reduced by the gcd of their entries after
+# every update, so Fractions are built only for the returned point.
 
 RHS = -1
+
+
+@dataclass(slots=True)
+class _Row:
+    """``num[j] / den`` for every column j; ``den > 0``."""
+
+    num: dict[int, int]
+    den: int = 1
 
 
 def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None):
@@ -239,47 +251,50 @@ def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None)
     has_strict = any(c.rel == ">" for c in constraints)
     if has_strict:
         eps_col = col("eps!")
-    geq_rows: list[dict[int, Fraction]] = []
-    eq_rows: list[dict[int, Fraction]] = []
+    # each row times the lcm of its constraint's denominators, and that lcm
+    geq_rows: list[tuple[dict[int, int], int]] = []
+    eq_rows: list[tuple[dict[int, int], int]] = []
     for c in constraints:
-        row: dict[int, Fraction] = {RHS: -c.const}
+        scale = lcm(c.const.denominator, *(k.denominator for _, k in c.coeffs))
+        row = {RHS: -c.const.numerator * (scale // c.const.denominator)}
         for var, k in c.coeffs:
+            n = k.numerator * (scale // k.denominator)
             pc, uc = col("p!" + var), col("u!")
-            row[pc] = row.get(pc, 0) + k
-            row[uc] = row.get(uc, 0) - k
+            row[pc] = row.get(pc, 0) + n
+            row[uc] = row.get(uc, 0) - n
         if c.rel == ">":
-            row[eps_col] = Fraction(-1)
-        (eq_rows if c.rel == "=" else geq_rows).append(row)
+            row[eps_col] = -scale
+        (eq_rows if c.rel == "=" else geq_rows).append((row, scale))
     if has_strict:
-        geq_rows.append({eps_col: Fraction(-1), RHS: Fraction(-1)})  # eps <= 1
+        geq_rows.append(({eps_col: -1, RHS: -1}, 1))  # eps <= 1
 
     # slack columns for >= rows (lhs - slack = rhs), then one artificial per row
     slack_base = len(cols)
     art_base = slack_base + len(geq_rows)
-    tableau: list[dict[int, Fraction]] = []
-    for i, row in enumerate(geq_rows + eq_rows):
+    tableau: list[_Row] = []
+    for i, (row, scale) in enumerate(geq_rows + eq_rows):
         if i < len(geq_rows):
-            row[slack_base + i] = Fraction(-1)
+            row[slack_base + i] = -scale
         sign = -1 if row[RHS] < 0 else 1
         row = {j: sign * v for j, v in row.items() if v}
-        row[art_base + i] = Fraction(1)
-        tableau.append(row)
+        row[art_base + i] = scale
+        tableau.append(_Row(row, scale))
     nrows = len(tableau)
     basis = [art_base + i for i in range(nrows)]
 
     # phase 1: maximize -sum(artificials); the objective row holds reduced costs
-    obj: dict[int, Fraction] = {j: Fraction(1) for j in basis}
-    for row in tableau:
-        _eliminate(obj, Fraction(1), row)
+    obj = _Row({j: 1 for j in basis})
+    for i, row in enumerate(tableau):
+        _eliminate(obj, row, art_base + i)
     _simplex(tableau, basis, obj, art_base + nrows, deadline)
-    if obj.get(RHS):  # the objective's rhs tracks -sum(artificials)
+    if obj.num.get(RHS):  # the objective's rhs tracks -sum(artificials)
         return "unsat", {}
 
     # drive basic artificials out or drop redundant rows
     keep = []
     for i, row in enumerate(tableau):
         if basis[i] >= art_base:
-            pivot_col = min((j for j in row if 0 <= j < art_base), default=None)
+            pivot_col = min((j for j in row.num if 0 <= j < art_base), default=None)
             if pivot_col is None:
                 continue  # redundant row
             _pivot(tableau, basis, i, pivot_col)
@@ -288,13 +303,13 @@ def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None)
     basis = [basis[i] for i in keep]
 
     if has_strict:
-        obj = {eps_col: Fraction(-1)}  # maximize eps
+        obj = _Row({eps_col: -1})  # maximize eps
         for i, b in enumerate(basis):
-            if b in obj:
-                _eliminate(obj, obj[b], tableau[i])
+            if b in obj.num:
+                _eliminate(obj, tableau[i], b)
         _simplex(tableau, basis, obj, art_base, deadline)
 
-    value = {b: tableau[i].get(RHS, Fraction(0)) for i, b in enumerate(basis)}
+    value = {b: Fraction(row.num.get(RHS, 0), row.den) for b, row in zip(basis, tableau)}
     shift = value.get(cols.get("u!"), Fraction(0))
     point = {
         name[2:]: value.get(c, Fraction(0)) - shift
@@ -313,52 +328,61 @@ def _simplex(tableau, basis, obj, limit_col, deadline):
     """Bland's rule; pivots until no objective column below zero remains.
 
     The entering column is the lowest one with a negative reduced cost; ties
-    in the ratio test go to the row whose basic column is lowest.
+    in the ratio test go to the row whose basic column is lowest.  A row's
+    ratio ``rhs / coeff`` is the quotient of its numerators, so ratios are
+    compared cross-multiplied.
     """
     while True:
-        entering = min((j for j, v in obj.items() if 0 <= j < limit_col and v < 0),
+        entering = min((j for j, v in obj.num.items() if 0 <= j < limit_col and v < 0),
                        default=None)
         if entering is None:
             return
         best_i = None
-        best_ratio = None
         for i, row in enumerate(tableau):
-            coeff = row.get(entering, 0)
+            coeff = row.num.get(entering, 0)
             if coeff > 0:
-                ratio = row.get(RHS, 0) / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_i])
-                ):
-                    best_ratio = ratio
-                    best_i = i
+                rhs = row.num.get(RHS, 0)
+                if best_i is None or ((rhs * best_coeff, basis[i])
+                                      < (best_rhs * coeff, basis[best_i])):
+                    best_i, best_rhs, best_coeff = i, rhs, coeff
         if best_i is None:
             return  # unbounded; caller reads the current point
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("simplex past its deadline")
         _pivot(tableau, basis, best_i, entering)
-        _eliminate(obj, obj[entering], tableau[best_i])
+        _eliminate(obj, tableau[best_i], entering)
 
 
 def _pivot(tableau, basis, row_i, col_j):
-    inv = 1 / tableau[row_i][col_j]
-    pivot_row = {j: v * inv for j, v in tableau[row_i].items()}
-    tableau[row_i] = pivot_row
-    for i, other in enumerate(tableau):
-        if i != row_i and col_j in other:
-            _eliminate(other, other[col_j], pivot_row)
+    pivot = tableau[row_i]
+    # num / den divided by num[col_j] / den is num / num[col_j]
+    g = gcd(*pivot.num.values()) * (1 if pivot.num[col_j] > 0 else -1)
+    pivot.num = {j: v // g for j, v in pivot.num.items()}
+    pivot.den = pivot.num[col_j]
+    for other in tableau:
+        if other is not pivot and col_j in other.num:
+            _eliminate(other, pivot, col_j)
     basis[row_i] = col_j
 
 
-def _eliminate(row: dict[int, Fraction], factor: Fraction, pivot_row) -> None:
-    """``row -= factor * pivot_row`` in place, dropping entries that cancel."""
-    for j, v in pivot_row.items():
-        new = row.get(j, 0) - factor * v
+def _eliminate(row: _Row, pivot: _Row, col_j: int) -> None:
+    """``row -= row[col_j] * pivot`` in place, where ``pivot[col_j]`` is 1,
+    dropping entries that cancel and reducing by the gcd."""
+    pden = pivot.den
+    factor = row.num[col_j]
+    num = {j: v * pden for j, v in row.num.items()} if pden != 1 else row.num
+    for j, v in pivot.num.items():
+        new = num.get(j, 0) - factor * v
         if new:
-            row[j] = new
+            num[j] = new
         else:
-            row.pop(j, None)
+            num.pop(j, None)
+    den = row.den * pden
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {j: v // g for j, v in num.items()}
+        den //= g
+    row.num, row.den = num, den
 
 
 # -- integer clause reasoning ---------------------------------------------------

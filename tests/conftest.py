@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import settings
 
 from polybound.engine import AnalysisResult, analyze
 from polybound.ir import Polynomial, Program, Transition, TRUE, eval_formula, parse_program
+from polybound.ir.linear import LinearConstraint
 from polybound.sim import make_config, step
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -171,3 +174,150 @@ def explore_sizes(p: Program, initial_state, max_steps=400, cap=20000):
                     next_frontier.append(succ)
         frontier = next_frontier
     return maxima
+
+
+# The bundled exact simplex with Fraction tableau rows, kept as a reference
+# for the fraction-free one in polybound.minismt: tableau rows are sparse
+# ``column -> Fraction`` dicts holding no zeros, the right-hand side under RHS.
+RHS = -1
+
+
+def reference_solve_lp(constraints: list[LinearConstraint], deadline: float | None = None):
+    """:func:`polybound.minismt.solve_lp` as it was with a ``Fraction`` tableau:
+    the oracle its fraction-free tableau must match pivot for pivot.
+
+    Feasibility of ``sum coeffs + const REL 0`` rows, REL in =, >=, >.
+
+    Returns (status, point) with status 'sat' or 'unsat'; point maps variable
+    names to Fractions, plus ``eps!``, the maximized slack of the '>' rows,
+    when there are any.  Raises ``TimeoutError`` if a pivot is due after
+    *deadline*, a :func:`time.monotonic` instant.
+    """
+    cols: dict[str, int] = {}
+
+    def col(name: str) -> int:
+        return cols.setdefault(name, len(cols))
+
+    has_strict = any(c.rel == ">" for c in constraints)
+    if has_strict:
+        eps_col = col("eps!")
+    geq_rows: list[dict[int, Fraction]] = []
+    eq_rows: list[dict[int, Fraction]] = []
+    for c in constraints:
+        row: dict[int, Fraction] = {RHS: -c.const}
+        for var, k in c.coeffs:
+            pc, uc = col("p!" + var), col("u!")
+            row[pc] = row.get(pc, 0) + k
+            row[uc] = row.get(uc, 0) - k
+        if c.rel == ">":
+            row[eps_col] = Fraction(-1)
+        (eq_rows if c.rel == "=" else geq_rows).append(row)
+    if has_strict:
+        geq_rows.append({eps_col: Fraction(-1), RHS: Fraction(-1)})  # eps <= 1
+
+    # slack columns for >= rows (lhs - slack = rhs), then one artificial per row
+    slack_base = len(cols)
+    art_base = slack_base + len(geq_rows)
+    tableau: list[dict[int, Fraction]] = []
+    for i, row in enumerate(geq_rows + eq_rows):
+        if i < len(geq_rows):
+            row[slack_base + i] = Fraction(-1)
+        sign = -1 if row[RHS] < 0 else 1
+        row = {j: sign * v for j, v in row.items() if v}
+        row[art_base + i] = Fraction(1)
+        tableau.append(row)
+    nrows = len(tableau)
+    basis = [art_base + i for i in range(nrows)]
+
+    # phase 1: maximize -sum(artificials); the objective row holds reduced costs
+    obj: dict[int, Fraction] = {j: Fraction(1) for j in basis}
+    for row in tableau:
+        _reference_eliminate(obj, Fraction(1), row)
+    _reference_simplex(tableau, basis, obj, art_base + nrows, deadline)
+    if obj.get(RHS):  # the objective's rhs tracks -sum(artificials)
+        return "unsat", {}
+
+    # drive basic artificials out or drop redundant rows
+    keep = []
+    for i, row in enumerate(tableau):
+        if basis[i] >= art_base:
+            pivot_col = min((j for j in row if 0 <= j < art_base), default=None)
+            if pivot_col is None:
+                continue  # redundant row
+            _reference_pivot(tableau, basis, i, pivot_col)
+        keep.append(i)
+    tableau = [tableau[i] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    if has_strict:
+        obj = {eps_col: Fraction(-1)}  # maximize eps
+        for i, b in enumerate(basis):
+            if b in obj:
+                _reference_eliminate(obj, obj[b], tableau[i])
+        _reference_simplex(tableau, basis, obj, art_base, deadline)
+
+    value = {b: tableau[i].get(RHS, Fraction(0)) for i, b in enumerate(basis)}
+    shift = value.get(cols.get("u!"), Fraction(0))
+    point = {
+        name[2:]: value.get(c, Fraction(0)) - shift
+        for name, c in cols.items()
+        if name.startswith("p!")
+    }
+    if has_strict:
+        eps = value.get(eps_col, Fraction(0))
+        if eps <= 0:
+            return "unsat", {}
+        point["eps!"] = eps
+    return "sat", point
+
+
+def _reference_simplex(tableau, basis, obj, limit_col, deadline):
+    """Bland's rule; pivots until no objective column below zero remains.
+
+    The entering column is the lowest one with a negative reduced cost; ties
+    in the ratio test go to the row whose basic column is lowest.
+    """
+    while True:
+        entering = min((j for j, v in obj.items() if 0 <= j < limit_col and v < 0),
+                       default=None)
+        if entering is None:
+            return
+        best_i = None
+        best_ratio = None
+        for i, row in enumerate(tableau):
+            coeff = row.get(entering, 0)
+            if coeff > 0:
+                ratio = row.get(RHS, 0) / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[best_i])
+                ):
+                    best_ratio = ratio
+                    best_i = i
+        if best_i is None:
+            return  # unbounded; caller reads the current point
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("simplex past its deadline")
+        _reference_pivot(tableau, basis, best_i, entering)
+        _reference_eliminate(obj, obj[entering], tableau[best_i])
+
+
+def _reference_pivot(tableau, basis, row_i, col_j):
+    inv = 1 / tableau[row_i][col_j]
+    pivot_row = {j: v * inv for j, v in tableau[row_i].items()}
+    tableau[row_i] = pivot_row
+    for i, other in enumerate(tableau):
+        if i != row_i and col_j in other:
+            _reference_eliminate(other, other[col_j], pivot_row)
+    basis[row_i] = col_j
+
+
+def _reference_eliminate(row: dict[int, Fraction], factor: Fraction, pivot_row) -> None:
+    """``row -= factor * pivot_row`` in place, dropping entries that cancel."""
+    for j, v in pivot_row.items():
+        new = row.get(j, 0) - factor * v
+        if new:
+            row[j] = new
+        else:
+            row.pop(j, None)

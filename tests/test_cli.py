@@ -153,6 +153,19 @@ def test_oversized_power_is_input_error(tmp_path, capsys):
     assert "input error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("guard", ["x > 9{nines}", "x^1{nines} > 0"])
+def test_oversized_integer_literal_is_input_error(guard, tmp_path, capsys):
+    # 5,000 digits, more than the interpreter converts to an int
+    program = tmp_path / "literal.its"
+    program.write_text(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+        "(RULES l0(x) -> l1(x)"
+        f"  l1(x) -> l1(x-1) :|: {guard.format(nines='9' * 4999)})"
+    )
+    assert main(["analyze", str(program)]) == 3
+    assert "integer literal of 5000 digits is too long" in capsys.readouterr().err
+
+
 ZERO_MODEL_SOLVER = """#!{python}
 import re, sys
 

@@ -3,11 +3,16 @@ import math
 import stat
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polybound.ranking
+import polybound.smt
 from polybound import minismt
 from polybound.engine import AnalysisConfig, analyze
 from polybound.ir import Atom, Polynomial, mk_and, mk_or
@@ -22,7 +27,7 @@ from polybound.smt import (
     resolve_solver,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture, run_python
+from conftest import FIXTURE_NAMES, load_fixture, reference_solve_lp, run_python
 
 x = Polynomial.var("x")
 y = Polynomial.var("y")
@@ -277,6 +282,88 @@ def test_simplex_negative_solutions_reachable():
     status, point = solve_lp(constraints)
     assert status == "sat"
     assert point["a"] == -3
+
+
+def test_simplex_ratio_ties_go_to_the_lowest_basic_column():
+    # the point is one of several optimal eps vertices; ties broken toward the
+    # highest basic column instead would end at a = 4, b = 3
+    constraints = [
+        LinearConstraint.make({"a": -1, "b": 2}, -2, ">="),
+        LinearConstraint.make({"a": 2, "b": -3}, 3, ">"),
+        LinearConstraint.make({"a": 3, "b": -2}, 0, ">"),
+        LinearConstraint.make({"a": 1, "b": -1}, 0, ">"),
+    ]
+    assert solve_lp(constraints) == ("sat", {"a": 5, "b": 4, "eps!": 1})
+
+
+def test_simplex_past_its_deadline_raises_before_pivoting():
+    constraints = [LinearConstraint.make({"a": 1}, -1, ">=")]  # a >= 1 takes a pivot
+    with pytest.raises(TimeoutError):
+        solve_lp(constraints, time.monotonic() - 1)
+    assert solve_lp(constraints) == ("sat", {"a": 1})
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+POSITIVE_FRACTIONS = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+# rows through the origin make degenerate vertices, where the ratio test ties
+CONSTANTS = st.one_of(st.just(Fraction(0)), SMALL_FRACTIONS)
+
+
+@st.composite
+def lp_systems(draw) -> list[LinearConstraint]:
+    """1-4 variables and 1-8 rows of =, >= and >; after the first row, a row
+    may repeat an earlier one scaled and loosened (redundant) or negate it
+    (infeasible: ``k*p + delta < 0`` against ``p >= 0``)."""
+    names = ["a", "b", "c", "d"][: draw(st.integers(1, 4))]
+    rows: list[LinearConstraint] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "redundant", "infeasible"]))
+        if kind == "fresh" or not rows:
+            coeffs = {v: draw(SMALL_FRACTIONS) for v in names}
+            rel = draw(st.sampled_from(["=", ">=", ">"]))
+            rows.append(LinearConstraint.make(coeffs, draw(CONSTANTS), rel))
+            continue
+        base, k = draw(st.sampled_from(rows)), draw(POSITIVE_FRACTIONS)
+        delta = draw(SMALL_FRACTIONS.map(abs))
+        if kind == "redundant":
+            rel = base.rel if base.rel == "=" else ">="
+            const = k * base.const + (0 if rel == "=" else delta)
+            rows.append(LinearConstraint.make({v: k * c for v, c in base.coeffs}, const, rel))
+        else:
+            const = -k * base.const - delta
+            rows.append(LinearConstraint.make({v: -k * c for v, c in base.coeffs}, const, ">"))
+    return rows
+
+
+def same_answer(constraints) -> bool:
+    """Whether solve_lp and the Fraction reference give one answer, down to
+    the order of the point's entries."""
+    new, old = solve_lp(constraints), reference_solve_lp(constraints)
+    return new[0] == old[0] and list(new[1].items()) == list(old[1].items())
+
+
+@settings(max_examples=400)
+@given(lp_systems())
+def test_simplex_matches_the_fraction_reference(constraints):
+    assert same_answer(constraints)
+
+
+def test_simplex_matches_the_fraction_reference_on_fixture_systems(monkeypatch):
+    asked: list[list[LinearConstraint]] = []
+
+    def recording(constraints, deadline=None):
+        asked.append(list(constraints))
+        return solve_lp(constraints, deadline)
+
+    monkeypatch.setattr(polybound.smt, "solve_lp", recording)
+    monkeypatch.setattr(polybound.ranking, "solve_lp", recording)
+    for name in FIXTURE_NAMES:
+        analyze(load_fixture(name), AnalysisConfig(smt=SmtContext(solver=FALLBACK)))
+    # sat_real's refutations and validate_rf's checks, with both answers
+    assert len(asked) > 30
+    assert {solve_lp(c)[0] for c in asked} == {"sat", "unsat"}
+    for constraints in asked:
+        assert same_answer(constraints), constraints
 
 
 # -- inputs the bundled solver accepts beyond what the analyzer emits ---------------
