@@ -38,6 +38,13 @@ from .program import Program, Transition
 # of a sum could otherwise stall the analysis before any solver timeout.
 MAX_EXPONENT = 64
 MAX_MONOMIALS = 512
+# Constants are capped far below the 4,300 digits the interpreter converts
+# between int and str, so that the sums of them that the ranking encoding
+# prints into solver scripts still convert.  Checked on literals, on every
+# power (nested powers would otherwise build ever larger constants) and on
+# every finished update and side of a guard relation.
+MAX_DIGITS = 1000
+_CONSTANT_LIMIT = 10**MAX_DIGITS
 
 
 class ParseError(Exception):
@@ -102,25 +109,6 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
-
-
-# Small guard AST kept until negations are pushed to the leaves.
-@dataclass
-class _Rel:
-    lhs: Polynomial
-    rel: str
-    rhs: Polynomial
-
-
-@dataclass
-class _Not:
-    sub: object
-
-
-@dataclass
-class _Junction:
-    op: str  # "and" | "or"
-    parts: list
 
 
 class _Parser:
@@ -216,47 +204,47 @@ class _Parser:
                 raise ParseError(
                     f"non-integer coefficient in update of {v}", tok.line, tok.col
                 )
-            update[v] = rhs
+            update[v] = _check_constants(rhs, tok)
             if i + 1 < len(variables):
                 self.expect(",")
         self.expect(")")
         guard: Formula = TRUE
         if self.peek().kind == ":|:":
             self.next()
-            guard = self.guard(variables)
+            guard = self.disj(variables, negated=False)
         return Transition(tid, src_tok.value, guard, update, tgt_tok.value)
 
     # -- guards ----------------------------------------------------------
 
-    def guard(self, variables: tuple[str, ...]) -> Formula:
-        ast = self.disj(variables)
-        return _to_formula(ast, negated=False)
+    # Negation is pushed to the leaves while parsing: under an odd number of
+    # enclosing ``!``, ``||`` and ``&&`` swap (De Morgan) and each relation
+    # is replaced by its complement.
 
-    def disj(self, variables) -> object:
-        parts = [self.conj(variables)]
+    def disj(self, variables, negated: bool) -> Formula:
+        parts = [self.conj(variables, negated)]
         while self.peek().kind == "||":
             self.next()
-            parts.append(self.conj(variables))
-        return parts[0] if len(parts) == 1 else _Junction("or", parts)
+            parts.append(self.conj(variables, negated))
+        return mk_and(parts) if negated else mk_or(parts)
 
-    def conj(self, variables) -> object:
-        parts = [self.lit(variables)]
+    def conj(self, variables, negated: bool) -> Formula:
+        parts = [self.lit(variables, negated)]
         while self.peek().kind == "&&":
             self.next()
-            parts.append(self.lit(variables))
-        return parts[0] if len(parts) == 1 else _Junction("and", parts)
+            parts.append(self.lit(variables, negated))
+        return mk_or(parts) if negated else mk_and(parts)
 
-    def lit(self, variables) -> object:
+    def lit(self, variables, negated: bool) -> Formula:
         if self.peek().kind == "!":
             self.next()
-            return _Not(self.lit(variables))
+            return self.lit(variables, not negated)
         if self.peek().kind == "(":
             # Either a parenthesized sub-formula or a parenthesized
             # polynomial; decide by scanning for a relation before the
             # matching close paren at depth 0.
             if self._paren_is_formula():
                 self.next()
-                sub = self.disj(variables)
+                sub = self.disj(variables, negated)
                 self.expect(")")
                 return sub
         tok = self.peek()
@@ -274,7 +262,9 @@ class _Parser:
                     tok.line,
                     tok.col,
                 )
-        return _Rel(lhs, rel_tok.kind, rhs)
+            _check_constants(p, tok)
+        rel = NEGATED_REL[rel_tok.kind] if negated else rel_tok.kind
+        return normalize_atom(lhs, rel, rhs)
 
     def _paren_is_formula(self) -> bool:
         depth = 0
@@ -337,7 +327,7 @@ class _Parser:
                                  tok.line, tok.col)
             # each monomial of the power is a product of exp of the base's
             _check_expansion(comb(count + exp - 1, exp) if count else 1, tok)
-            base = base**exp
+            base = _check_constants(base**exp, tok)
         return base
 
     def atom_expr(self, variables) -> Polynomial:
@@ -356,11 +346,19 @@ class _Parser:
 
 
 def _int(tok: Token) -> int:
-    try:
-        return int(tok.value)
-    except ValueError:  # longer than the interpreter converts
-        raise ParseError(f"integer literal of {len(tok.value)} digits is too long",
-                         tok.line, tok.col) from None
+    if len(tok.value) > MAX_DIGITS:
+        raise ParseError(f"integer literal of {len(tok.value)} digits is too long, "
+                         f"above the cap of {MAX_DIGITS}", tok.line, tok.col)
+    return int(tok.value)
+
+
+def _check_constants(p: Polynomial, tok: Token) -> Polynomial:
+    """Reject ``p`` if a coefficient has more than MAX_DIGITS digits."""
+    for _, c in p.items():
+        if max(abs(c.numerator), c.denominator) >= _CONSTANT_LIMIT:
+            raise ParseError(f"constant of more than {MAX_DIGITS} digits",
+                             tok.line, tok.col)
+    return p
 
 
 def _check_expansion(bound: int, tok: Token) -> None:
@@ -368,18 +366,6 @@ def _check_expansion(bound: int, tok: Token) -> None:
     if bound > MAX_MONOMIALS:
         raise ParseError(f"expression expands to up to {bound} monomials, above the "
                          f"cap of {MAX_MONOMIALS}", tok.line, tok.col)
-
-
-def _to_formula(ast, negated: bool) -> Formula:
-    if isinstance(ast, _Not):
-        return _to_formula(ast.sub, not negated)
-    if isinstance(ast, _Rel):
-        rel = NEGATED_REL[ast.rel] if negated else ast.rel
-        return normalize_atom(ast.lhs, rel, ast.rhs)
-    assert isinstance(ast, _Junction)
-    parts = [_to_formula(p, negated) for p in ast.parts]
-    conjunctive = (ast.op == "and") != negated
-    return mk_and(parts) if conjunctive else mk_or(parts)
 
 
 def parse_program(text: str) -> Program:

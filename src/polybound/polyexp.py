@@ -1,4 +1,4 @@
-"""Poly-exponential expressions and exact symbolic summation kernels.
+"""Poly-exponential expressions and their exact summation kernel.
 
 A poly-exponential expression is a finite sum of addends ``q * n^a * b^n``
 with ``q`` a polynomial over the program variables (rational coefficients),
@@ -7,26 +7,19 @@ with pairwise distinct ``(a, b)`` pairs, sorted ascending by asymptotic
 order (base major, exponent minor), and never with ``q = 0``, so equal
 functions built along different routes compare equal structurally.
 
-The two summation kernels are solved exactly from an ansatz by sampling:
-a degree bound plus enough sample points pins the coefficients down via a
-rational linear solve, which keeps the kernels free of Bernoulli-number
-tables while remaining uniformly testable.
+The summation kernel ``power_sum`` gives ``sum_{k<n} k^a r^k`` exactly, as
+a polynomial in n times ``r^n`` plus a constant, from a recurrence over the
+exponent that telescopes ``(k+1)^j r^(k+1) - k^j r^k`` over ``k < n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Mapping
 
 from .ir import Polynomial
-
-# Reserved symbol for the iteration counter inside kernel results.  The
-# polynomials returned by `faulhaber` / `sum_geo_poly` are univariate in it
-# and are destructured into per-power coefficients immediately, so it never
-# clashes with program variables.
-N = "n"
 
 Addend = tuple[Polynomial, int, int]  # (q, a, b)
 
@@ -51,12 +44,6 @@ class PolyExp:
                 factors.append(f"{b}^n")
             parts.append(" * ".join(factors))
         return " + ".join(parts)
-
-    def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for q, _, _ in self.addends:
-            out |= q.variables()
-        return frozenset(out)
 
 
 PE_ZERO = PolyExp(())
@@ -131,11 +118,13 @@ def pe_substitute(p: Polynomial, assignment: Mapping[str, PolyExp]) -> PolyExp:
     return result
 
 
+def pe_values(x: PolyExp, state: Mapping[str, int], n: int) -> list[Fraction]:
+    """The value of each addend of ``x`` at ``state`` and ``n``."""
+    return [q.evaluate(state) * n**a * b**n for q, a, b in x.addends]
+
+
 def pe_eval(x: PolyExp, state: Mapping[str, int], n: int) -> Fraction:
-    total = Fraction(0)
-    for q, a, b in x.addends:
-        total += q.evaluate(state) * Fraction(n) ** a * Fraction(b) ** n
-    return total
+    return sum(pe_values(x, state, n), Fraction(0))
 
 
 def pe_shift(x: PolyExp, j: int) -> PolyExp:
@@ -147,7 +136,7 @@ def pe_shift(x: PolyExp, j: int) -> PolyExp:
         scale = Fraction(1, b**j) if j > 0 else Fraction(b ** (-j))
         # (n - j)^a expanded binomially
         for i in range(a + 1):
-            c = _binom(a, i) * Fraction(-j) ** (a - i) * scale
+            c = comb(a, i) * Fraction(-j) ** (a - i) * scale
             if c == 0:
                 continue
             key = (i, b)
@@ -171,91 +160,26 @@ def pe_normalize_integer(x: PolyExp) -> tuple[int, PolyExp]:
     return scale, pe_scale(x, scale)
 
 
-def _binom(a: int, i: int) -> Fraction:
-    from math import comb
+def power_sum(a: int, r: Fraction) -> tuple[list[Fraction], Fraction]:
+    """``(P, K)`` with ``sum_{k<n} k^a r^k = (sum_d P[d] n^d) r^n + K`` for
+    all n >= 0 (``0^0`` counts as 1), for a natural ``a`` and ``r > 0``.
 
-    return Fraction(comb(a, i))
-
-
-# -- exact linear solving for the kernel ansatz ------------------------------
-
-
-def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; the kernel systems are always regular."""
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    size = len(matrix)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
-
-
-def faulhaber(a: int) -> Polynomial:
-    """Polynomial F with ``F(n) = sum_{k=0}^{n-1} k^a`` for all n >= 0.
-
-    Degree a+1 with F(0) = 0; found by solving the ansatz on the sample
-    points n = 0 .. a+1 (0^0 counts as 1, so F(n) = n for a = 0).
+    Let S_j be the sum for exponent j.  Summing ``(k+1)^(j+1) - k^(j+1)``
+    over ``k < n`` gives, for ``r = 1``,
+    ``S_j = (n^(j+1) - sum_{i<j} C(j+1,i) S_i) / (j+1)`` (so K = 0), and
+    summing ``(k+1)^j r^(k+1) - k^j r^k`` gives, otherwise,
+    ``S_j = (n^j r^n - [j=0] - r sum_{i<j} C(j,i) S_i) / (r-1)``.
     """
-    if a < 0:
-        raise ValueError("exponent must be natural")
-    degree = a + 1
-    points = list(range(degree + 1))
-    matrix = [[Fraction(n) ** d for d in range(degree + 1)] for n in points]
-    rhs = [Fraction(sum(k**a for k in range(n))) for n in points]
-    coeffs = solve_linear(matrix, rhs)
-    poly = Polynomial.zero()
-    for d, c in enumerate(coeffs):
-        poly = poly + Polynomial({((N, d),) if d else (): c})
-    return poly
-
-
-def sum_geo_poly(a: int, rho: Fraction) -> tuple[Polynomial, Fraction]:
-    """Exact ``(P, K)`` with ``sum_{k=0}^{n-1} k^a rho^k = P(n) rho^n + K``.
-
-    Requires ``rho >= 0`` and ``rho != 1``; P has degree a.  Solved from the
-    ansatz on the sample points n = 0 .. a+1.
-    """
-    rho = Fraction(rho)
-    if rho == 1:
-        raise ValueError("geometric ratio must differ from 1")
-    if rho < 0:
-        raise ValueError("geometric ratio must be nonnegative")
-    # unknowns: P coefficients (degree a) then K
-    points = list(range(a + 2))
-    matrix = []
-    rhs = []
-    for n in points:
-        row = [Fraction(n) ** d * rho**n for d in range(a + 1)]
-        row.append(Fraction(1))
-        matrix.append(row)
-        total = Fraction(0)
-        for k in range(n):
-            total += (Fraction(k) ** a if a else Fraction(1)) * rho**k
-        rhs.append(total)
-    coeffs = solve_linear(matrix, rhs)
-    poly = Polynomial.zero()
-    for d in range(a + 1):
-        poly = poly + Polynomial({((N, d),) if d else (): coeffs[d]})
-    return poly, coeffs[a + 1]
-
-
-def poly_in_n_to_powers(p: Polynomial) -> list[tuple[int, Fraction]]:
-    """Destructure a univariate polynomial in the reserved counter symbol."""
-    out = []
-    for mono, coeff in p.items():
-        if not mono:
-            out.append((0, coeff))
-        elif len(mono) == 1 and mono[0][0] == N:
-            out.append((mono[0][1], coeff))
-        else:
-            raise ValueError(f"not univariate in {N}: {p}")
-    out.sort()
-    return out
+    one = r == 1
+    sums: list[tuple[list[Fraction], Fraction]] = []
+    for j in range(a + 1):
+        p = [Fraction(0)] * (j + 1 if one else j) + [Fraction(1)]
+        k = Fraction(0 if one or j else -1)
+        for i, (q, kq) in enumerate(sums):
+            w = comb(j + 1, i) if one else r * comb(j, i)
+            for d, x in enumerate(q):
+                p[d] -= w * x
+            k -= w * kq
+        div = j + 1 if one else r - 1
+        sums.append(([x / div for x in p], k / div))
+    return sums[a]

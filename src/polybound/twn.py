@@ -11,12 +11,12 @@ runtime bound B for the chained loop gives 2*B + 1 for the original.
 Closed forms are computed variable by variable in reverse dependency order.
 With cl(later) already known, the recurrence ``x^(k+1) = c*x^(k) + p(...)``
 unrolls to ``c^n * x + sum_{k<n} c^(n-1-k) * g(k)`` where ``g`` is ``p``
-composed with the later closed forms.  Each addend of ``g`` is summed by an
-exact kernel (Faulhaber for matching base, a geometric-polynomial identity
-otherwise); ``c = 0`` degenerates to a single shifted evaluation and bumps
-the validity start.  When an inner closed form is only valid from some
-``m > 0`` on, the first ``m`` summands are replaced by explicitly iterated
-update polynomials so the result is exact for every ``n >= `` its own start.
+composed with the later closed forms.  Each addend ``q * n^a * b^n`` of
+``g`` is summed by one exact kernel, ``polyexp.power_sum`` at ratio ``b/c``;
+``c = 0`` degenerates to a single shifted evaluation and bumps the validity
+start.  When an inner closed form is only valid from some ``m > 0`` on, the
+first ``m`` summands are replaced by explicitly iterated update polynomials
+so the result is exact for every ``n >= `` its own start.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from .polyexp import (
     pe_add,
     pe_shift,
     pe_substitute,
-    faulhaber,
-    poly_in_n_to_powers,
-    sum_geo_poly,
+    power_sum,
 )
 
 
@@ -213,21 +211,11 @@ def _sum_weighted(g: PolyExp, c: int) -> PolyExp:
     of n (an identity of the symbolic expression, valid for all n >= 0)."""
     result = PE_ZERO
     for q, a, b in g.addends:
-        if b == c:
-            # c^(n-1) * q * F(n) with F the power-sum polynomial
-            for power, coeff in poly_in_n_to_powers(faulhaber(a)):
-                addend = PolyExp(((q.scale(coeff * Fraction(1, c)), power, c),))
-                result = pe_add(result, addend)
-        else:
-            poly, k_const = sum_geo_poly(a, Fraction(b, c))
-            # c^(n-1) * q * (P(n) (b/c)^n + K)  =  q/c * (P(n) b^n + K c^n)
-            for power, coeff in poly_in_n_to_powers(poly):
-                addend = PolyExp(((q.scale(coeff * Fraction(1, c)), power, b),))
-                result = pe_add(result, addend)
-            if k_const != 0:
-                result = pe_add(
-                    result, PolyExp(((q.scale(k_const * Fraction(1, c)), 0, c),))
-                )
+        # c^(n-1) * q * (P(n) (b/c)^n + K)  =  q/c * (P(n) b^n + K c^n)
+        coeffs, k_const = power_sum(a, Fraction(b, c))
+        terms = [(x, d, b) for d, x in enumerate(coeffs)] + [(k_const, 0, c)]
+        for coeff, power, base in terms:
+            result = pe_add(result, PolyExp(((q.scale(coeff / c), power, base),)))
     return result
 
 
@@ -235,6 +223,6 @@ def _addends_at(g: PolyExp, k: int) -> Polynomial:
     """Evaluate the n-dependence of ``g`` at the concrete point n = k."""
     total = Polynomial.zero()
     for q, a, b in g.addends:
-        total = total + q.scale(Fraction(k**a if a else 1) * Fraction(b) ** k)
+        total = total + q.scale(k**a * b**k)
     return total
 

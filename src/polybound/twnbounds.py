@@ -45,7 +45,7 @@ from .ir import (
     mk_and,
     mk_or,
 )
-from .polyexp import PolyExp, pe_eval, pe_normalize_integer, pe_substitute
+from .polyexp import PolyExp, pe_eval, pe_normalize_integer, pe_substitute, pe_values
 from .smt import SmtContext
 from .twn import ClosedForm, TwnLoop, TwnRejection, closed_form, twn_check
 
@@ -260,21 +260,13 @@ def _numeric_stabilization_point(
 
 
 def _stable_at(pe: PolyExp, state: dict[str, int], n: int) -> bool:
-    values = [(q.evaluate(state), a, b) for q, a, b in pe.addends]
-    top = next(
-        (i for i in range(len(values) - 1, -1, -1) if values[i][0] != 0), None
-    )
-    current = sum(v * Fraction(n) ** a * Fraction(b) ** n for v, a, b in values)
-    if top is None:
-        return current == 0
-    v_top, a_top, b_top = values[top]
-    eventual_positive = v_top > 0
-    if (current > 0) != eventual_positive:
-        return False
-    dominated = sum(
-        abs(v) * Fraction(n) ** a * Fraction(b) ** n for v, a, b in values[:top]
-    )
-    return abs(v_top) * Fraction(n) ** a_top * Fraction(b_top) ** n > dominated
+    """The top nonzero addend outweighs the magnitude sum of the ones below
+    it, so the sign of ``pe`` is already its eventual sign (the top one's).
+    Needs n >= 1: then an addend's value is 0 only where its coefficient is."""
+    values = pe_values(pe, state, n)
+    while values and values[-1] == 0:
+        values.pop()
+    return not values or abs(values[-1]) > sum(abs(v) for v in values[:-1])
 
 
 def analyze_self_loop(

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 FIXTURE_NAMES = [
     "nested",
@@ -43,6 +45,15 @@ def load_fixture(name: str) -> Program:
 def analyzed_fixture(name: str) -> AnalysisResult:
     """The default analysis of a fixture, computed once per test session."""
     return analyze(load_fixture(name))
+
+
+def benchmark_jobs(workload: str, seed: int) -> list:
+    """The ``Job``s of one of the benchmark's workloads at ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[workload](seed)
 
 
 def run_python(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:

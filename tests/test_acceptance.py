@@ -21,7 +21,7 @@ from polybound.bounds import (
 from polybound.cli import main
 from polybound.engine import AnalysisConfig, analyze
 from polybound.ir import Atom, Polynomial, Transition, eval_formula, mk_and
-from polybound.polyexp import PolyExp, faulhaber, pe_eval, poly_in_n_to_powers, sum_geo_poly
+from polybound.polyexp import PolyExp, pe_eval, power_sum
 from polybound.sim import exhaustive_run
 from polybound.twn import closed_form, twn_check
 from polybound.twnbounds import TwnAnalysis, analyze_self_loop, prove_termination
@@ -222,26 +222,14 @@ def test_c7_ablations(capsys):
 
 
 def test_c8_summation_kernels():
-    for a in range(0, 5):
-        f = faulhaber(a)
-        for n in range(0, 26):
-            direct = sum(k**a for k in range(n))
-            value = sum(
-                (c * Fraction(n) ** p for p, c in poly_in_n_to_powers(f)),
-                Fraction(0),
-            )
-            assert value == direct
-        for rho in (Fraction(2), Fraction(3), Fraction(5), Fraction(1, 2), Fraction(1, 9)):
-            poly, k_const = sum_geo_poly(a, rho)
+    ratios = (Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(1, 2),
+              Fraction(1, 9), Fraction(4, 3), Fraction(5, 7))
+    for a in range(0, 7):
+        for rho in ratios:
+            coeffs, k_const = power_sum(a, rho)
             for n in range(0, 26):
-                direct = sum(
-                    ((Fraction(k) ** a if a else Fraction(1)) * rho**k for k in range(n)),
-                    Fraction(0),
-                )
-                value = sum(
-                    (c * Fraction(n) ** p for p, c in poly_in_n_to_powers(poly)),
-                    Fraction(0),
-                )
+                direct = sum((Fraction(k) ** a * rho**k for k in range(n)), Fraction(0))
+                value = sum((c * Fraction(n) ** d for d, c in enumerate(coeffs)), Fraction(0))
                 assert value * rho**n + k_const == direct
     _report("C8", "summation kernels exact")
 

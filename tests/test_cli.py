@@ -166,6 +166,36 @@ def test_oversized_integer_literal_is_input_error(guard, tmp_path, capsys):
     assert "integer literal of 5000 digits is too long" in capsys.readouterr().err
 
 
+def nines(digits: int) -> str:
+    return "9" * digits
+
+
+@pytest.mark.parametrize("rule", [
+    # literals longer than the cap
+    f"l1(x) -> l1(x-1) :|: x > {nines(4000)}*{nines(4000)}",
+    f"l1(x) -> l1(x-1) :|: x > ({nines(4000)})^2",
+    # a power and nested powers of literals within the cap, checked before
+    # the next power builds on them
+    f"l1(x) -> l1(x-1) :|: x > ({nines(600)})^2",
+    "l1(x) -> l1(x-1) :|: x > ((((9^64)^64)^64)^64)^64",
+    # a product and sums, caught on a side of the guard relation and on the
+    # finished update
+    f"l1(x) -> l1(x-1) :|: x > {nines(999)}*{nines(999)}",
+    f"l1(x) -> l1(x-1) :|: x > {nines(1000)}+{nines(1000)}",
+    f"l1(x) -> l1(x-{nines(1000)}-{nines(1000)}) :|: x > 0",
+])
+def test_constant_past_the_cap_is_input_error(rule, tmp_path, capsys):
+    program = tmp_path / "constant.its"
+    program.write_text(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+        f"(RULES l0(x) -> l1(x)  {rule})"
+    )
+    started = time.perf_counter()
+    assert main(["analyze", str(program)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "digits" in capsys.readouterr().err
+
+
 ZERO_MODEL_SOLVER = """#!{python}
 import re, sys
 

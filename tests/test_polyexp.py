@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polybound import polyexp
 from polybound.ir import Polynomial
 from polybound.polyexp import (
     PE_ZERO,
     PolyExp,
-    faulhaber,
     pe_add,
     pe_eval,
     pe_mul,
@@ -17,73 +17,81 @@ from polybound.polyexp import (
     pe_pow,
     pe_shift,
     pe_substitute,
-    poly_in_n_to_powers,
-    sum_geo_poly,
+    power_sum,
 )
+
+from conftest import random_polynomial
 
 x1, x2, x3 = (Polynomial.var(v) for v in ("x1", "x2", "x3"))
 x = Polynomial.var("x")
 N_RANGE = range(0, 26)
+EXPONENTS = range(0, 7)
 
 
-def eval_poly_in_n(p: Polynomial, n: int) -> Fraction:
-    return sum(
-        (c * Fraction(n) ** power for power, c in poly_in_n_to_powers(p)),
-        Fraction(0),
-    )
+def power_sum_at(a: int, r: Fraction, n: int) -> Fraction:
+    coeffs, k_const = power_sum(a, r)
+    return sum((c * n**d for d, c in enumerate(coeffs)), Fraction(0)) * r**n + k_const
 
 
-@pytest.mark.parametrize("a", range(0, 5))
+def direct_sum(a: int, r: Fraction, n: int) -> Fraction:
+    return sum((Fraction(k) ** a * r**k for k in range(n)), Fraction(0))
+
+
+# Ratio 1 is Faulhaber's sum of powers: a polynomial of degree a + 1.
+@pytest.mark.parametrize("a", EXPONENTS)
 def test_faulhaber_matches_direct_summation(a):
-    f = faulhaber(a)
+    coeffs, k_const = power_sum(a, Fraction(1))
     for n in N_RANGE:
-        assert eval_poly_in_n(f, n) == sum(k**a for k in range(n))
-    assert eval_poly_in_n(f, 0) == 0
-    assert max(p for p, _ in poly_in_n_to_powers(f)) == a + 1
+        assert power_sum_at(a, Fraction(1), n) == sum(k**a for k in range(n))
+    assert k_const == 0 and coeffs[0] == 0
+    assert len(coeffs) == a + 2 and coeffs[-1] != 0
 
 
 def test_faulhaber_small_cases():
-    assert poly_in_n_to_powers(faulhaber(0)) == [(1, Fraction(1))]
-    assert poly_in_n_to_powers(faulhaber(1)) == [
-        (1, Fraction(-1, 2)),
-        (2, Fraction(1, 2)),
-    ]
-    assert poly_in_n_to_powers(faulhaber(2)) == [
-        (1, Fraction(1, 6)),
-        (2, Fraction(-1, 2)),
-        (3, Fraction(1, 3)),
-    ]
+    assert power_sum(0, Fraction(1)) == ([0, 1], 0)
+    assert power_sum(1, Fraction(1)) == ([0, Fraction(-1, 2), Fraction(1, 2)], 0)
+    assert power_sum(2, Fraction(1)) == (
+        [0, Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)], 0
+    )
 
 
-@pytest.mark.parametrize("a", range(0, 5))
+# Any other ratio: a polynomial of degree a times r^n, plus a constant.
+@pytest.mark.parametrize("a", EXPONENTS)
 @pytest.mark.parametrize(
-    "rho", [Fraction(2), Fraction(3), Fraction(5), Fraction(1, 2), Fraction(1, 9)]
+    "rho",
+    [Fraction(2), Fraction(3), Fraction(5), Fraction(1, 2), Fraction(1, 9),
+     Fraction(4, 3), Fraction(5, 7)],
 )
 def test_sum_geo_poly_matches_direct_summation(a, rho):
-    poly, k_const = sum_geo_poly(a, rho)
+    coeffs, _ = power_sum(a, rho)
+    assert len(coeffs) == a + 1 and coeffs[-1] != 0
     for n in N_RANGE:
-        direct = sum(
-            ((Fraction(k) ** a if a else Fraction(1)) * rho**k for k in range(n)),
-            Fraction(0),
-        )
-        assert eval_poly_in_n(poly, n) * rho**n + k_const == direct
+        assert power_sum_at(a, rho, n) == direct_sum(a, rho, n)
 
 
 def test_sum_geo_poly_base_two():
-    poly, k_const = sum_geo_poly(0, Fraction(2))
-    assert poly_in_n_to_powers(poly) == [(0, Fraction(1))]
-    assert k_const == -1  # sum of 2^k below n is 2^n - 1
+    # sum of 2^k below n is 2^n - 1
+    assert power_sum(0, Fraction(2)) == ([1], -1)
 
 
 def test_sum_geo_poly_linear_base_two():
-    poly, k_const = sum_geo_poly(1, Fraction(2))
-    assert poly_in_n_to_powers(poly) == [(0, Fraction(-2)), (1, Fraction(1))]
-    assert k_const == 2  # sum k 2^k below n is (n-2) 2^n + 2
+    # sum k 2^k below n is (n-2) 2^n + 2
+    assert power_sum(1, Fraction(2)) == ([-2, 1], 2)
 
 
-def test_sum_geo_poly_rejects_ratio_one():
-    with pytest.raises(ValueError):
-        sum_geo_poly(2, Fraction(1))
+@given(st.integers(0, 2**32), st.integers(0, 12))
+def test_pe_eval_matches_fraction_powers(seed, n):
+    rng = random.Random(seed)
+    pe = PE_ZERO
+    for _ in range(rng.randint(0, 4)):
+        q = random_polynomial(rng, ("x1", "x2")).scale(Fraction(1, rng.randint(1, 4)))
+        pe = pe_add(pe, PolyExp(((q, rng.randint(0, 3), rng.randint(1, 5)),)))
+    state = {"x1": rng.randint(-9, 9), "x2": rng.randint(-9, 9)}
+    expected = Fraction(0)
+    for q, a, b in pe.addends:
+        expected += q.evaluate(state) * Fraction(n) ** a * Fraction(b) ** n
+    value = pe_eval(pe, state, n)
+    assert isinstance(value, Fraction) and value == expected
 
 
 def test_pe_add_cancellation():

@@ -1,9 +1,6 @@
 import dataclasses
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,9 +16,7 @@ from polybound.ranking import (
     validate_rf,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture, sampled_rf_violation
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from conftest import FIXTURE_NAMES, benchmark_jobs, load_fixture, sampled_rf_violation
 
 
 def test_countdown_rf(countdown):
@@ -147,12 +142,8 @@ def synthesized_rfs(programs, cfg_factory=AnalysisConfig):
 
 def benchmark_rings(seeds):
     """The ranking-only rings of the benchmark's ``ranking_wide`` workload."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
     return [parse_program(job.text) for seed in seeds
-            for job in workloads.ranking_wide(seed)]
+            for job in benchmark_jobs("ranking_wide", seed)]
 
 
 @pytest.fixture(scope="module")

@@ -4,18 +4,28 @@ The goldens in ``tests/golden/`` pin the analyzer's output byte for byte, so
 a refactor that changes any bound, provenance, verdict or diagnostic fails
 here.  Regenerate a golden only together with a change that is meant to
 alter that report.
+
+The seed-1 programs of the benchmark's generated workloads are pinned the
+same way, one golden per workload: ``twn_loops`` reaches the chained,
+nonterminating-witness and dominance paths that no fixture does.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from polybound.cli import report_json
+from polybound.engine import AnalysisConfig, analyze
+from polybound.ir import parse_program
+from polybound.smt import SmtContext
 
-from conftest import FIXTURE_NAMES, analyzed_fixture
+from conftest import FIXTURE_NAMES, analyzed_fixture, benchmark_jobs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# The solver the benchmark harness pins.
+BUNDLED = [sys.executable, "-m", "polybound.minismt"]
 
 
 def report_text(name: str) -> str:
@@ -27,3 +37,19 @@ def report_text(name: str) -> str:
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_report_matches_golden(name):
     assert report_text(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+def workload_text(workload: str) -> str:
+    reports = []
+    for job in benchmark_jobs(workload, 1):
+        cfg = AnalysisConfig(twn_enabled=job.twn, ranking_enabled=job.ranking,
+                             smt=SmtContext(solver=BUNDLED))
+        report = report_json(analyze(parse_program(job.text), cfg), job.pid)
+        del report["timings"]
+        reports.append(report)
+    return json.dumps(reports, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("workload", ["ranking_wide", "twn_loops"])
+def test_workload_reports_match_golden(workload):
+    assert workload_text(workload) == (GOLDEN / f"workload_{workload}.json").read_text()
