@@ -36,12 +36,12 @@ def main(argv: list[str] | None = None) -> int:
     pa.add_argument("--no-twn", action="store_true", help="disable closed-form loop analysis")
     pa.add_argument("--no-ranking", action="store_true", help="disable ranking functions")
     pa.add_argument("--smt-solver", metavar="PATH", default=None)
-    pa.add_argument("--smt-timeout", metavar="MS", type=int, default=5000)
+    pa.add_argument("--smt-timeout", metavar="MS", type=_at_least(1), default=5000)
 
     ps = sub.add_parser("simulate", help="exhaustively explore from a concrete state")
     ps.add_argument("file")
     ps.add_argument("--state", required=True, help='e.g. "x1=7,x2=5"')
-    ps.add_argument("--max-steps", type=int, default=10000)
+    ps.add_argument("--max-steps", type=_at_least(0), default=10000)
 
     pc = sub.add_parser("closed-form", help="print the closed form of a self-loop")
     pc.add_argument("file")
@@ -72,6 +72,22 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # the CLI contract is exit codes, not tracebacks
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
+
+
+def _at_least(low: int):
+    """An argparse type for integers of at least *low*; a usage error (exit 3)
+    otherwise."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load(path: str) -> Program:

@@ -30,6 +30,10 @@ when every DNF clause is refuted by one of
   monomials plus a constant can never exceed the constant), or
 - forced-zero propagation (``x^k <= 0`` pins ``x`` to 0, enabling
   substitution).
+
+The last two, with the constant rows, need no search; they are
+:func:`presolve_clause`, which the analyzer also runs in-process, so an
+analyzer formula they refute never reaches this process.
 """
 
 from __future__ import annotations
@@ -413,8 +417,16 @@ def _forced_zero_var(rows: list[Polynomial]) -> str | None:
     return None
 
 
-def solve_int_clause(clause: tuple[Atom, ...]):
-    """Returns ('sat', model) | ('unsat', {}) | ('unknown', {})."""
+def presolve_clause(clause: tuple[Atom, ...]) -> list[Polynomial] | None:
+    """The clause's rows ``p - 1 >= 0`` after the search-free rules, or None
+    when one of them refutes the clause.
+
+    Constant rows are checked and dropped, a row whose :func:`monomial_sup`
+    is negative refutes, and a variable pinned to zero by a row
+    ``-c * x^even >= 0`` is substituted away; this repeats until no variable
+    is pinned.  No simplex and no search, so the analyzer runs it in-process
+    before it asks a solver (see :meth:`polybound.smt.SmtContext.sat_int`).
+    """
     # atoms have integer coefficients, so p > 0 is the row p - 1 >= 0
     rows = [a.poly - 1 for a in clause]
 
@@ -425,11 +437,11 @@ def solve_int_clause(clause: tuple[Atom, ...]):
         for poly in rows:
             if poly.is_const:
                 if poly.const_value() < 0:
-                    return "unsat", {}
+                    return None
                 continue
             sup = monomial_sup(poly)
             if sup is not None and sup < 0:
-                return "unsat", {}
+                return None
             kept.append(poly)
         rows = kept
         var = _forced_zero_var(rows)
@@ -437,7 +449,19 @@ def solve_int_clause(clause: tuple[Atom, ...]):
             zero = {var: Polynomial.zero()}
             rows = [poly.substitute(zero) for poly in rows]
             changed = True
+    return rows
 
+
+def solve_int_clause(clause: tuple[Atom, ...]):
+    """Returns ('sat', model) | ('unsat', {}) | ('unknown', {}).
+
+    After :func:`presolve_clause`, a clause of linear rows is refuted by the
+    exact simplex or its rational point rounded; otherwise, or if rounding
+    fails, a bounded integer search looks for a model.
+    """
+    rows = presolve_clause(clause)
+    if rows is None:
+        return "unsat", {}
     if not rows:
         return "sat", {}
 

@@ -6,11 +6,15 @@ output, and the process killed at the timeout.  ``Unknown`` is always a safe
 outcome for callers (bounds stay infinite, verdicts stay undecided), so a
 broken or missing solver can never make the analyzer unsound.
 
-Linear systems (ranking queries) are first tried in-process by the bundled
-exact simplex (:func:`polybound.minismt.solve_lp`).  Exact rational
-infeasibility is a proof, so a refuted system answers ``unsat`` without a
-process; every other system goes to the configured solver, whose answer and
-model are kept.  Most ranking systems the analysis poses are infeasible.
+Queries are first tried in-process by the bundled procedure's refutations:
+a linear system (ranking query) by the exact simplex
+(:func:`polybound.minismt.solve_lp`), an integer formula (termination query)
+clause by clause of its DNF by :func:`polybound.minismt.presolve_clause`,
+which runs no simplex and no search.  A refutation is a proof, so it answers
+``unsat`` without a process, whatever the configured solver; every other
+query goes to the configured solver, whose answer and model are kept.  A
+query whose script would hold a constant too long for ``str()`` answers
+``unknown``.
 
 Solver resolution order: explicit path argument, the ``POLYBOUND_SMT``
 environment variable, a ``z3`` binary on the PATH, and finally the bundled
@@ -30,13 +34,17 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ir import And, Atom, Formula, formula_vars
+from .ir import And, Atom, DnfCapExceeded, Formula, dnf, formula_vars
 from .ir.linear import LinearConstraint
-from .minismt import parse_sexprs, solve_lp
+from .minismt import DNF_CAP, parse_sexprs, presolve_clause, solve_lp
 
 
 class SolverNotFound(Exception):
     pass
+
+
+class UnwritableConstant(Exception):
+    """A constant past the interpreter's limit on integer-to-string conversion."""
 
 
 @dataclass
@@ -84,7 +92,7 @@ def poly_to_sexpr(p) -> str:
     """Powers are expanded to products; SMT-LIB has no integer power."""
     terms = []
     for mono, coeff in p.sorted_terms():
-        factors = [_int_sexpr(coeff)] if (coeff != 1 or not mono) else []
+        factors = [_frac_sexpr(coeff)] if (coeff != 1 or not mono) else []
         for v, e in mono:
             factors.extend([v] * e)
         terms.append(factors[0] if len(factors) == 1 else "(* " + " ".join(factors) + ")")
@@ -95,18 +103,29 @@ def poly_to_sexpr(p) -> str:
     return "(+ " + " ".join(terms) + ")"
 
 
-def _int_sexpr(c: Fraction) -> str:
-    assert c.denominator == 1
-    n = c.numerator
-    return str(n) if n >= 0 else f"(- {-n})"
-
-
 def _frac_sexpr(c: Fraction) -> str:
     if c.denominator == 1:
         n = c.numerator
-        return str(n) if n >= 0 else f"(- {-n})"
-    body = f"(/ {abs(c.numerator)} {c.denominator})"
+        return _numeral(n) if n >= 0 else f"(- {_numeral(-n)})"
+    body = f"(/ {_numeral(abs(c.numerator))} {_numeral(c.denominator)})"
     return body if c >= 0 else f"(- {body})"
+
+
+def _numeral(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise UnwritableConstant(
+            f"constant of {_digit_count(n)} digits too long to write for the solver"
+        ) from None
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``n > 0``, counted without ``str()``."""
+    k = max(int(n.bit_length() * 0.30102999566398120) - 1, 1)  # log10(2)
+    while 10**k <= n:
+        k += 1
+    return k
 
 
 def formula_to_sexpr(f: Formula) -> str:
@@ -231,8 +250,9 @@ class SmtContext:
 
     It also tallies the solver's answers: ``decided`` counts sat and unsat
     answers, ``failures`` holds the reason of every query that failed at the
-    process level.  Systems refuted in-process count in neither, so a broken
-    solver is still told apart from a hard program.
+    process level.  Queries answered in-process (refuted, or with a script
+    that cannot be written) count in neither, so a broken solver is still
+    told apart from a hard program.
     """
 
     solver: list[str] | None = None
@@ -242,7 +262,9 @@ class SmtContext:
 
     def sat_int(self, f: Formula) -> SmtResult:
         """Satisfiability of a guard formula over integer-valued variables."""
-        result = self._solve(int_script(f))
+        if self._int_refuted(f):
+            return SmtResult("unsat", reason="refuted in-process")
+        result = self._solve(int_script, f)
         if result.is_sat:
             for v in formula_vars(f):
                 result.model.setdefault(v, Fraction(0))
@@ -252,7 +274,7 @@ class SmtContext:
         """Satisfiability of an affine constraint system over real unknowns."""
         if self._refuted(constraints):
             return SmtResult("unsat", reason="refuted in-process")
-        result = self._solve(real_script(constraints))
+        result = self._solve(real_script, constraints)
         if result.is_sat:
             for c in constraints:
                 for v, _ in c.coeffs:
@@ -269,7 +291,21 @@ class SmtContext:
             return False
         return status == "unsat"
 
-    def _solve(self, script: str) -> SmtResult:
+    @staticmethod
+    def _int_refuted(f: Formula) -> bool:
+        """Whether the search-free rules refute every DNF clause (none at
+        all, too); past the clause cap, the solver is asked instead."""
+        try:
+            clauses = dnf(f, DNF_CAP)
+        except DnfCapExceeded:
+            return False
+        return all(presolve_clause(clause) is None for clause in clauses)
+
+    def _solve(self, write_script, query) -> SmtResult:
+        try:
+            script = write_script(query)
+        except UnwritableConstant as exc:
+            return SmtResult("unknown", reason=str(exc))
         result = _run_solver(script, self.timeout_ms, self.solver)
         if result.is_sat or result.is_unsat:
             self.decided += 1

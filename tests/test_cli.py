@@ -121,6 +121,20 @@ def test_deep_nesting_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "--max-steps", "-1"),
+    ("analyze", "--smt-timeout", "0"),
+    ("analyze", "--smt-timeout", "-5"),
+    ("analyze", "--smt-timeout", "ten"),
+])
+def test_out_of_range_option_is_input_error(command, option, value, capsys):
+    args = [command, fixture("countdown"), f"{option}={value}"]
+    assert main(args + (["--state", "x=1"] if command == "simulate" else [])) == 3
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err
+    assert "internal error" not in err
+
+
 def test_module_entry_point_runs_the_cli():
     proc = run_python(["-m", "polybound.cli", "analyze", fixture("countdown")])
     assert proc.returncode == 0, proc.stderr
@@ -136,6 +150,10 @@ def test_broken_solver_exits_four(tmp_path, capsys):
     # some of its ranking systems are refuted in-process, the rest fail
     assert main(["analyze", fixture("nested"), "--smt-solver", str(stub)]) == 4
     assert "solver error: " in capsys.readouterr().err
+    # its termination query and ranking systems are all refuted in-process,
+    # so no solver is started and the bound decides the exit code
+    assert main(["analyze", fixture("nonlinear_loop"), "--smt-solver", str(stub)]) == 0
+    assert "solver error: " not in capsys.readouterr().err
     # no query asked, so nothing failed
     assert main(["analyze", fixture("straight_line"), "--smt-solver", str(stub)]) == 0
 
@@ -194,6 +212,20 @@ def test_constant_past_the_cap_is_input_error(rule, tmp_path, capsys):
     assert main(["analyze", str(program)]) == 3
     assert time.perf_counter() - started < 1.0
     assert "digits" in capsys.readouterr().err
+
+
+def test_constant_the_analysis_builds_past_the_string_limit_is_unknown(tmp_path, capsys):
+    # within the parser's cap, but the closed form of x has base (10^999-1)^5,
+    # 4,995 digits, which no SMT-LIB script can spell under str()'s limit
+    program = tmp_path / "power.its"
+    program.write_text(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x y)"
+        f"(RULES l0(x,y) -> l1(x,y)  l1(x,y) -> l1(x+y^5, {nines(999)}*y) :|: x < 0)"
+    )
+    assert main(["analyze", str(program)]) in (0, 2)
+    out, err = capsys.readouterr()
+    assert "internal error" not in err
+    assert "Loop t1: unknown (constant of 4995 digits too long to write" in out
 
 
 ZERO_MODEL_SOLVER = """#!{python}

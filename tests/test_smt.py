@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import stat
 import sys
 import textwrap
@@ -15,7 +16,7 @@ import polybound.ranking
 import polybound.smt
 from polybound import minismt
 from polybound.engine import AnalysisConfig, analyze
-from polybound.ir import Atom, Polynomial, mk_and, mk_or
+from polybound.ir import Atom, Polynomial, eval_formula, mk_and, mk_or, parse_program
 from polybound.minismt import parse_sexprs, solve_lp
 from polybound.smt import (
     LinearConstraint,
@@ -27,7 +28,14 @@ from polybound.smt import (
     resolve_solver,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture, reference_solve_lp, run_python
+from conftest import (
+    FIXTURE_NAMES,
+    benchmark_jobs,
+    load_fixture,
+    random_polynomial,
+    reference_solve_lp,
+    run_python,
+)
 
 x = Polynomial.var("x")
 y = Polynomial.var("y")
@@ -245,6 +253,121 @@ def test_in_process_refutations_agree_with_the_bundled_child():
         script = real_script(constraints)
         proc = run_python(["-m", "polybound.minismt"], stdin=script)
         assert proc.stdout.split()[:1] == ["unsat"], script
+
+
+# -- termination queries refuted in-process --------------------------------------
+
+REFUTED_INT = [
+    Atom(Polynomial.const(-5)),  # no DNF clause at all
+    mk_or([mk_and([Atom(x), Atom(Polynomial.const(-1))]), Atom(-(x**2))]),  # sup 0 - 1 < 0
+    mk_and([Atom(-(x**2) + 1), Atom(x - y**2 - 4)]),  # x pinned to 0, then sup -4 - 1
+]
+
+
+@pytest.mark.parametrize("f", REFUTED_INT, ids=["constant", "even-power", "forced-zero"])
+def test_refuted_int_query_starts_no_solver(f, tmp_path):
+    marker = tmp_path / "called"
+    ctx = SmtContext(stub_solver(tmp_path, f"touch {marker}\nexit 1\n"))
+    result = ctx.sat_int(f)
+    assert (result.status, result.reason) == ("unsat", "refuted in-process")
+    assert not marker.exists(), "the solver was started"
+    assert ctx.decided == 0 and not ctx.failures
+
+
+def test_unrefuted_int_query_keeps_the_solvers_model(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("searched in-process")
+
+    # neither the simplex nor the integer search runs in the analyzer
+    monkeypatch.setattr(polybound.smt, "solve_lp", forbidden)
+    monkeypatch.setattr(minismt, "solve_lp", forbidden)
+    monkeypatch.setattr(minismt, "_integer_hunt", forbidden)
+    ctx = SmtContext(stub_solver(
+        tmp_path, "echo sat\necho '((define-fun x () Int 7))'\n"))
+    result = ctx.sat_int(mk_and([Atom(x - 2), Atom(-x + 9)]))  # the child would pick x = 3
+    assert result.is_sat
+    assert result.model == {"x": Fraction(7)}
+    assert ctx.decided == 1
+
+
+def test_int_query_past_the_dnf_cap_goes_to_the_solver(tmp_path):
+    # 2^11 clauses, each refuted by its last atom
+    split = [mk_or([Atom(Polynomial.var(f"x{i}")), Atom(-Polynomial.var(f"x{i}"))])
+             for i in range(11)]
+    ctx = SmtContext(stub_solver(tmp_path, "echo unsat\n"))
+    assert ctx.sat_int(mk_and(split + [Atom(-(x**2))])).is_unsat
+    assert ctx.decided == 1
+
+
+def test_int_refutations_agree_with_the_bundled_child():
+    asked = []
+
+    class Recording(SmtContext):
+        def sat_int(self, f):
+            asked.append(f)
+            return super().sat_int(f)
+
+    smt = Recording(solver=FALLBACK)
+    jobs = benchmark_jobs("fixtures", 1)  # the same at every seed
+    jobs += benchmark_jobs("twn_loops", 1) + benchmark_jobs("twn_loops", 7)
+    for job in jobs:
+        cfg = AnalysisConfig(twn_enabled=job.twn, ranking_enabled=job.ranking, smt=smt)
+        analyze(parse_program(job.text), cfg)
+    refuted = [f for f in asked if SmtContext._int_refuted(f)]
+    assert refuted and len(refuted) < len(asked)
+    for f in refuted:
+        script = int_script(f)
+        proc = run_python(["-m", "polybound.minismt"], stdin=script)
+        assert proc.stdout.split()[:1] == ["unsat"], script
+
+
+@st.composite
+def int_formulas(draw):
+    """``And``/``Or`` nests, up to two deep, of atoms over x and y: random
+    polynomials, constants, and negative squares that the search-free rules
+    bound or pin to zero."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def atom() -> Atom:
+        kind = rng.choice(["poly", "poly", "const", "square"])
+        if kind == "const":
+            return Atom(Polynomial.const(rng.randint(-3, 2)))
+        p = random_polynomial(rng, ["x", "y"], max_degree=2, max_coeff=4)
+        if kind == "square":
+            p = Polynomial.const(rng.randint(-2, 1)) - Polynomial.var(rng.choice("xy")) ** 2
+        return Atom(p)
+
+    outer, inner = rng.choice([(mk_or, mk_and), (mk_and, mk_or)])
+    return outer([inner([atom() for _ in range(rng.randint(1, 3))])
+                  for _ in range(rng.randint(1, 3))])
+
+
+@settings(max_examples=300)
+@given(int_formulas())
+def test_in_process_int_refutation_implies_the_bundled_unsat(f):
+    if SmtContext._int_refuted(f):
+        out = io.StringIO()
+        minismt.run(int_script(f), out)
+        assert out.getvalue().split()[:1] == ["unsat"], int_script(f)
+        # the child runs the same presolve, so also check the semantics
+        box = range(-3, 4)
+        assert not any(eval_formula(f, {"x": a, "y": b}) for a in box for b in box), f
+
+
+# -- constants no script can hold -------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [10**4999, 10**5000 - 1], ids=["power-of-ten", "nines"])
+def test_unwritable_constant_is_unknown(c, tmp_path):
+    marker = tmp_path / "called"
+    ctx = SmtContext(stub_solver(tmp_path, f"touch {marker}\necho unsat\n"))
+    int_result = ctx.sat_int(Atom(x.scale(c)))
+    real_result = ctx.sat_real([LinearConstraint.make({"a": c}, -1, ">=")])
+    for result in (int_result, real_result):
+        assert result.status == "unknown"
+        assert "constant of 5000 digits" in result.reason
+    assert not marker.exists(), "the solver was started"
+    assert ctx.decided == 0 and not ctx.failures
 
 
 # -- the bundled simplex -----------------------------------------------------------
