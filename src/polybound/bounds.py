@@ -90,31 +90,27 @@ INFINITE = Const(OMEGA)
 
 
 def bsum(parts) -> Bound:
-    flat: list[Bound] = []
-    for b in parts:
-        if isinstance(b, Sum):
-            flat.extend(b.parts)
-        else:
-            flat.append(b)
-    if not flat:
-        return ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
+    return _flatten(Sum, ZERO, parts)
 
 
 def bprod(parts) -> Bound:
+    return _flatten(Prod, ONE, parts)
+
+
+def _flatten(kind, unit, parts) -> Bound:
+    """``kind`` of ``parts`` with nested ``kind``s flattened; ``unit`` if
+    there are none."""
     flat: list[Bound] = []
     for b in parts:
-        if isinstance(b, Prod):
+        if isinstance(b, kind):
             flat.extend(b.parts)
         else:
             flat.append(b)
     if not flat:
-        return ONE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return Prod(tuple(flat))
+    return kind(tuple(flat))
 
 
 def bound_of_poly(p) -> Bound:

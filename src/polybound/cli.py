@@ -20,7 +20,6 @@ from .ranking import RankingValidationError
 from .sim import exhaustive_run
 from .smt import SmtContext, SolverNotFound, resolve_solver
 from .twn import TwnRejection, closed_form, twn_check
-from .twnbounds import CapExceeded
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverNotFound as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
-    except (RankingValidationError, CapExceeded) as exc:
+    except RankingValidationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # the CLI contract is exit codes, not tracebacks

@@ -150,22 +150,11 @@ def _ranking_phase(p, scc, entries, rb, sb, provenance, cfg, diagnostics) -> Non
             rf = synthesize_lrf(p, scc, list(cand), cfg.smt)
             if rf is None:
                 continue
-            local = rf_local_bound(rf, entries)
-            lifted = lift_local_bound(local, entries, rb, sb)
-            if is_omega(lifted):
-                blocking = [r.tid for r in entries if is_omega(rb[r.tid])]
-                diagnostics.append(
-                    "ranking bound for {"
-                    + ",".join(t.tid for t in cand)
-                    + "} blocked by entries: "
-                    + (",".join(blocking) or "size bounds")
-                )
-                continue
-            for t in cand:
-                rb[t.tid] = lifted
-                provenance[t.tid] = "ranking"
-            progress = True
-            break
+            label = "ranking bound for {" + ",".join(t.tid for t in cand) + "}"
+            if _lift(rf_local_bound(rf, entries), entries, cand, "ranking", label,
+                     rb, sb, provenance, diagnostics):
+                progress = True
+                break
         if not progress:
             return
 
@@ -206,16 +195,23 @@ def _twn_phase(
             **({"witness": verdict.witness} if verdict.witness else {}),
             **({"reason": verdict.reason} if verdict.reason else {}),
         }
-        if outcome.local_bound is None:
-            continue
-        loop_entries = entry_transitions(p, [t])
-        lifted = lift_local_bound(outcome.local_bound, loop_entries, rb, sb)
-        if is_omega(lifted):
-            blocking = [r.tid for r in loop_entries if is_omega(rb[r.tid])]
-            diagnostics.append(
-                f"{t.tid}: twn bound blocked by entries: "
-                + (",".join(blocking) or "size bounds")
-            )
-            continue
+        if outcome.local_bound is not None:
+            _lift(outcome.local_bound, entry_transitions(p, [t]), [t], "twn",
+                  f"{t.tid}: twn bound", rb, sb, provenance, diagnostics)
+
+
+def _lift(local, entries, members, technique, label, rb, sb, provenance,
+          diagnostics) -> bool:
+    """Give every transition of ``members`` the lifted ``local`` bound, or,
+    if it lifts to ω, note the entries that blocked it under ``label``."""
+    lifted = lift_local_bound(local, entries, rb, sb)
+    if is_omega(lifted):
+        blocking = [r.tid for r in entries if is_omega(rb[r.tid])]
+        diagnostics.append(
+            f"{label} blocked by entries: " + (",".join(blocking) or "size bounds")
+        )
+        return False
+    for t in members:
         rb[t.tid] = lifted
-        provenance[t.tid] = "twn"
+        provenance[t.tid] = technique
+    return True

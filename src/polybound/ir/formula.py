@@ -75,39 +75,31 @@ FALSE = Atom(Polynomial.zero())
 
 
 def mk_and(children) -> Formula:
-    flat: list[Formula] = []
-    for c in children:
-        if isinstance(c, And):
-            flat.extend(c.children)
-        elif c == TRUE:
-            continue
-        elif c == FALSE:
-            return FALSE
-        else:
-            flat.append(c)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _junction(And, TRUE, FALSE, children)
 
 
 def mk_or(children) -> Formula:
+    return _junction(Or, FALSE, TRUE, children)
+
+
+def _junction(kind, unit, absorbing, children) -> Formula:
+    """``kind`` of ``children`` with nested ``kind``s flattened and ``unit``
+    dropped; ``absorbing`` if a child is."""
     flat: list[Formula] = []
     for c in children:
-        if isinstance(c, Or):
+        if isinstance(c, kind):
             flat.extend(c.children)
-        elif c == FALSE:
+        elif c == unit:
             continue
-        elif c == TRUE:
-            return TRUE
+        elif c == absorbing:
+            return absorbing
         else:
             flat.append(c)
     if not flat:
-        return FALSE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return Or(tuple(flat))
+    return kind(tuple(flat))
 
 
 def normalize_atom(lhs: Polynomial, rel: str, rhs: Polynomial) -> Formula:

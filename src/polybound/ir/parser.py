@@ -19,6 +19,7 @@ appearance.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -62,52 +63,34 @@ class Token:
     col: int
 
 
-_SYMBOLS = [
-    "->", ":|:", "&&", "||", "<=", ">=", "!=",
-    "(", ")", ",", "<", ">", "=", "!", "+", "-", "*", "/", "^",
-]
+# Token kinds, tried in this order at each position; a symbol's kind is its
+# text.  Numerals are decimal digits only, the digits ``int()`` converts.
+# An identifier starts with a letter or ``_``; the pattern also admits a
+# non-decimal digit such as ``²`` there, which ``tokenize`` rejects.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("newline", r"\n"),
+    ("space", r"[^\S\n]+"),
+    ("int", r"\d+"),
+    ("ident", r"[^\W\d][\w']*"),
+    ("symbol", r"->|:\|:|&&|\|\||<=|>=|!=|[(),<>=!+\-*/^]"),
+    ("other", r"."),
+)))
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            kind = "other"
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other":
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        elif kind != "space":
+            tokens.append(Token(value if kind == "symbol" else kind, value, line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -131,27 +114,19 @@ class _Parser:
             raise ParseError(f"expected {want}, found {tok.value!r}", tok.line, tok.col)
         return tok
 
-    def expect_keyword(self, word: str) -> None:
-        tok = self.expect("ident", word)
-        if tok.value != word:
-            raise ParseError(f"expected {word}, found {tok.value!r}", tok.line, tok.col)
+    def expect_words(self, *words: str) -> None:
+        for word in words:
+            tok = self.next()
+            if tok.value != word:
+                raise ParseError(f"expected {word}, found {tok.value!r}", tok.line, tok.col)
 
     # -- top level -----------------------------------------------------
 
     def program(self) -> Program:
-        self.expect("(")
-        self.expect_keyword("GOAL")
-        self.expect_keyword("COMPLEXITY")
-        self.expect(")")
-        self.expect("(")
-        self.expect_keyword("STARTTERM")
-        self.expect("(")
-        self.expect_keyword("FUNCTIONSYMBOLS")
+        self.expect_words("(", "GOAL", "COMPLEXITY", ")", "(", "STARTTERM", "(",
+                          "FUNCTIONSYMBOLS")
         init = self.expect("ident").value
-        self.expect(")")
-        self.expect(")")
-        self.expect("(")
-        self.expect_keyword("VAR")
+        self.expect_words(")", ")", "(", "VAR")
         variables: list[str] = []
         while self.peek().kind == "ident":
             tok = self.next()
@@ -161,9 +136,7 @@ class _Parser:
         if not variables:
             tok = self.peek()
             raise ParseError("empty variable declaration", tok.line, tok.col)
-        self.expect(")")
-        self.expect("(")
-        self.expect_keyword("RULES")
+        self.expect_words(")", "(", "RULES")
         transitions: list[Transition] = []
         locs: set[str] = {init}
         while self.peek().kind == "ident":
@@ -211,7 +184,7 @@ class _Parser:
         guard: Formula = TRUE
         if self.peek().kind == ":|:":
             self.next()
-            guard = self.disj(variables, negated=False)
+            guard = self.junction("||", variables, negated=False)
         return Transition(tid, src_tok.value, guard, update, tgt_tok.value)
 
     # -- guards ----------------------------------------------------------
@@ -220,19 +193,16 @@ class _Parser:
     # enclosing ``!``, ``||`` and ``&&`` swap (De Morgan) and each relation
     # is replaced by its complement.
 
-    def disj(self, variables, negated: bool) -> Formula:
-        parts = [self.conj(variables, negated)]
-        while self.peek().kind == "||":
+    def junction(self, op: str, variables, negated: bool) -> Formula:
+        """Operands joined by ``op``: ``||`` joins ``&&``-junctions, ``&&``
+        joins literals."""
+        parts = []
+        while True:
+            parts.append(self.junction("&&", variables, negated) if op == "||"
+                         else self.lit(variables, negated))
+            if self.peek().kind != op:
+                return (mk_and if (op == "&&") != negated else mk_or)(parts)
             self.next()
-            parts.append(self.conj(variables, negated))
-        return mk_and(parts) if negated else mk_or(parts)
-
-    def conj(self, variables, negated: bool) -> Formula:
-        parts = [self.lit(variables, negated)]
-        while self.peek().kind == "&&":
-            self.next()
-            parts.append(self.lit(variables, negated))
-        return mk_or(parts) if negated else mk_and(parts)
 
     def lit(self, variables, negated: bool) -> Formula:
         if self.peek().kind == "!":
@@ -244,7 +214,7 @@ class _Parser:
             # matching close paren at depth 0.
             if self._paren_is_formula():
                 self.next()
-                sub = self.disj(variables, negated)
+                sub = self.junction("||", variables, negated)
                 self.expect(")")
                 return sub
         tok = self.peek()

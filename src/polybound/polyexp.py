@@ -49,7 +49,12 @@ class PolyExp:
 PE_ZERO = PolyExp(())
 
 
-def _canonical(raw: dict[tuple[int, int], Polynomial]) -> PolyExp:
+def _canonical(pairs) -> PolyExp:
+    """The sum of ``((a, b), q)`` pairs: coefficients of equal ``(a, b)`` are
+    added in the order given, zero ones dropped."""
+    raw: dict[tuple[int, int], Polynomial] = {}
+    for key, q in pairs:
+        raw[key] = raw[key] + q if key in raw else q
     addends = [
         (q, a, b) for (a, b), q in raw.items() if not q.is_zero
     ]
@@ -68,11 +73,7 @@ def pe_const(c) -> PolyExp:
 
 
 def pe_add(x: PolyExp, y: PolyExp) -> PolyExp:
-    raw: dict[tuple[int, int], Polynomial] = {(a, b): q for q, a, b in x.addends}
-    for q, a, b in y.addends:
-        key = (a, b)
-        raw[key] = raw[key] + q if key in raw else q
-    return _canonical(raw)
+    return _canonical(((a, b), q) for q, a, b in x.addends + y.addends)
 
 
 def pe_scale(x: PolyExp, factor) -> PolyExp:
@@ -84,13 +85,11 @@ def pe_scale(x: PolyExp, factor) -> PolyExp:
 
 def pe_mul(x: PolyExp, y: PolyExp) -> PolyExp:
     """Bases merge multiplicatively, powers of n additively."""
-    raw: dict[tuple[int, int], Polynomial] = {}
-    for q1, a1, b1 in x.addends:
-        for q2, a2, b2 in y.addends:
-            key = (a1 + a2, b1 * b2)
-            prod = q1 * q2
-            raw[key] = raw[key] + prod if key in raw else prod
-    return _canonical(raw)
+    return _canonical(
+        ((a1 + a2, b1 * b2), q1 * q2)
+        for q1, a1, b1 in x.addends
+        for q2, a2, b2 in y.addends
+    )
 
 
 def pe_pow(x: PolyExp, exp: int) -> PolyExp:
@@ -128,21 +127,13 @@ def pe_eval(x: PolyExp, state: Mapping[str, int], n: int) -> Fraction:
 
 
 def pe_shift(x: PolyExp, j: int) -> PolyExp:
-    """The function ``m -> x(m - j)`` as a poly-exponential expression."""
-    if j == 0:
-        return x
-    raw: dict[tuple[int, int], Polynomial] = {}
-    for q, a, b in x.addends:
-        scale = Fraction(1, b**j) if j > 0 else Fraction(b ** (-j))
-        # (n - j)^a expanded binomially
-        for i in range(a + 1):
-            c = comb(a, i) * Fraction(-j) ** (a - i) * scale
-            if c == 0:
-                continue
-            key = (i, b)
-            contribution = q.scale(c)
-            raw[key] = raw[key] + contribution if key in raw else contribution
-    return _canonical(raw)
+    """The function ``m -> x(m - j)`` as a poly-exponential expression:
+    ``(n - j)^a`` is expanded binomially and ``b^(n - j)`` is ``b^n / b^j``."""
+    return _canonical(
+        ((i, b), q.scale(comb(a, i) * Fraction(-j) ** (a - i) / Fraction(b) ** j))
+        for q, a, b in x.addends
+        for i in range(a + 1)
+    )
 
 
 def pe_normalize_integer(x: PolyExp) -> tuple[int, PolyExp]:

@@ -49,15 +49,15 @@ def local_size_bound(t: Transition, v: str) -> Bound:
     return bound_of_poly(t.update[v])
 
 
-def _incoming_sum(p: Program, loc: str, v: str, sb: SizeBoundMap) -> Bound:
-    parts = [sb[(r.tid, v)] for r in p.incoming(loc)]
-    return simplify(bsum(parts))
+def _sum_over(transitions, v: str, sb: SizeBoundMap) -> Bound:
+    """The sum of SB(r, v) over ``transitions``, a bound on their maximum."""
+    return simplify(bsum(sb[(r.tid, v)] for r in transitions))
 
 
 def _composed_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound:
     """The update bound for ``v`` at the incoming size bounds of ``t.src``."""
     mapping = {
-        w: _incoming_sum(p, t.src, w, sb) for w in t.update[v].variables()
+        w: _sum_over(p.incoming(t.src), w, sb) for w in t.update[v].variables()
     }
     return simplify(bound_subst(local_size_bound(t, v), mapping))
 
@@ -96,12 +96,9 @@ def size_bounds_for_scc(
         if all(t.update[v] == Polynomial.var(v) for t in scc)
     }
 
-    def entry_sum(v: str) -> Bound:
-        return simplify(bsum(sb[(r.tid, v)] for r in entries))
-
     # R2 first: these values feed R2b within the same pass.
     for v in invariant:
-        value = entry_sum(v)
+        value = _sum_over(entries, v, sb)
         for t in scc:
             sb[(t.tid, v)] = value
 
@@ -110,7 +107,7 @@ def size_bounds_for_scc(
             if v in invariant:
                 continue
             sb[(t.tid, v)] = _scc_bound(p, t, v, scc, entries, invariant, rb, sb,
-                                        twn_analyses, entry_sum)
+                                        twn_analyses)
     return sb
 
 
@@ -124,7 +121,6 @@ def _scc_bound(
     rb: dict[str, Bound],
     sb: SizeBoundMap,
     twn_analyses: dict[str, TwnAnalysis],
-    entry_sum,
 ) -> Bound:
     # R2b: the update reads only component-invariant variables
     if t.update[v].variables() <= invariant:
@@ -148,7 +144,7 @@ def _scc_bound(
         additive = False
         break
     if additive:
-        parts: list[Bound] = [entry_sum(v)]
+        parts: list[Bound] = [_sum_over(entries, v, sb)]
         for c in resets:
             parts.append(Const(c))
         for tid, c in increments:
@@ -161,7 +157,7 @@ def _scc_bound(
         if analysis is not None and analysis.iteration_bound is not None:
             raw = twn_size_bound(analysis, v)
             if not is_omega(raw):
-                mapping = {w: entry_sum(w) for w in bound_vars(raw)}
+                mapping = {w: _sum_over(entries, w, sb) for w in bound_vars(raw)}
                 return simplify(bound_subst(raw, mapping))
 
     # R5

@@ -52,7 +52,6 @@ class SmtResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: dict[str, Fraction] = field(default_factory=dict)
     reason: str = ""
-    transcript: str = ""
 
     @property
     def is_sat(self) -> bool:
@@ -218,7 +217,6 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str] | None) -> SmtRe
         return SmtResult("unknown", reason=f"solver not found: {exc}")
     except OSError as exc:
         return SmtResult("unknown", reason=f"solver failed: {exc}")
-    transcript = proc.stdout + (("\n" + proc.stderr) if proc.stderr else "")
     status = None
     rest_lines: list[str] = []
     for line in proc.stdout.splitlines():
@@ -228,16 +226,16 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str] | None) -> SmtRe
         elif status is not None:
             rest_lines.append(line)
     if status is None:
-        return SmtResult("unknown", reason="no verdict in solver output", transcript=transcript)
+        return SmtResult("unknown", reason="no verdict in solver output")
     if status == "sat":
         try:
             model = parse_model(parse_sexprs("\n".join(rest_lines)))
         except Exception:
-            return SmtResult("unknown", reason="unparseable model", transcript=transcript)
-        return SmtResult("sat", model=model, transcript=transcript)
+            return SmtResult("unknown", reason="unparseable model")
+        return SmtResult("sat", model=model)
     if status == "unsat":
-        return SmtResult("unsat", transcript=transcript)
-    return SmtResult("unknown", reason="solver reported unknown", transcript=transcript)
+        return SmtResult("unsat")
+    return SmtResult("unknown", reason="solver reported unknown")
 
 
 # Reasons given when the solver process itself broke down, not the query.
@@ -262,23 +260,30 @@ class SmtContext:
 
     def sat_int(self, f: Formula) -> SmtResult:
         """Satisfiability of a guard formula over integer-valued variables."""
-        if self._int_refuted(f):
-            return SmtResult("unsat", reason="refuted in-process")
-        result = self._solve(int_script, f)
-        if result.is_sat:
-            for v in formula_vars(f):
-                result.model.setdefault(v, Fraction(0))
-        return result
+        return self._decide(f, self._int_refuted, int_script, formula_vars)
 
     def sat_real(self, constraints: list[LinearConstraint]) -> SmtResult:
         """Satisfiability of an affine constraint system over real unknowns."""
-        if self._refuted(constraints):
+        return self._decide(constraints, self._refuted, real_script,
+                            lambda cs: (v for c in cs for v, _ in c.coeffs))
+
+    def _decide(self, query, refuted, write_script, unknowns) -> SmtResult:
+        """Refute ``query`` in-process, or else ask the solver; its model
+        gives 0 to every unknown it leaves out."""
+        if refuted(query):
             return SmtResult("unsat", reason="refuted in-process")
-        result = self._solve(real_script, constraints)
+        try:
+            script = write_script(query)
+        except UnwritableConstant as exc:
+            return SmtResult("unknown", reason=str(exc))
+        result = _run_solver(script, self.timeout_ms, self.solver)
+        if result.is_sat or result.is_unsat:
+            self.decided += 1
+        elif result.reason.startswith(PROCESS_FAILURES):
+            self.failures.append(result.reason)
         if result.is_sat:
-            for c in constraints:
-                for v, _ in c.coeffs:
-                    result.model.setdefault(v, Fraction(0))
+            for v in unknowns(query):
+                result.model.setdefault(v, Fraction(0))
         return result
 
     def _refuted(self, constraints: list[LinearConstraint]) -> bool:
@@ -300,15 +305,3 @@ class SmtContext:
         except DnfCapExceeded:
             return False
         return all(presolve_clause(clause) is None for clause in clauses)
-
-    def _solve(self, write_script, query) -> SmtResult:
-        try:
-            script = write_script(query)
-        except UnwritableConstant as exc:
-            return SmtResult("unknown", reason=str(exc))
-        result = _run_solver(script, self.timeout_ms, self.solver)
-        if result.is_sat or result.is_unsat:
-            self.decided += 1
-        elif result.reason.startswith(PROCESS_FAILURES):
-            self.failures.append(result.reason)
-        return result

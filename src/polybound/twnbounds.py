@@ -44,6 +44,7 @@ from .ir import (
     map_atoms,
     mk_and,
     mk_or,
+    normalize_atom,
 )
 from .polyexp import PolyExp, pe_eval, pe_normalize_integer, pe_substitute, pe_values
 from .smt import SmtContext
@@ -104,7 +105,7 @@ def eventual_atom(pe: PolyExp) -> Formula:
         parts: list[Formula] = [Atom(q_k)]
         for j in range(k + 1, len(addends)):
             q_j = addends[j][0]
-            parts.append(mk_and([Atom(-q_j + 1), Atom(q_j + 1)]))  # q_j = 0
+            parts.append(normalize_atom(q_j, "=", Polynomial.zero()))
         cases.append(mk_and(parts))
     return mk_or(cases)
 
@@ -226,10 +227,7 @@ def prove_termination(
         m_hat = _numeric_stabilization_point(loop, cf, model)
     except CapExceeded:
         return TerminationVerdict("unknown", reason="stabilization search cap")
-    witness_n = max(cf.start, m_hat)
-    witness = {
-        v: _int_value(pe_eval(cf[v], model, witness_n)) for v in loop.update
-    }
+    witness = {v: _int_value(pe_eval(cf[v], model, m_hat)) for v in loop.update}
     if any(value is None for value in witness.values()):
         return TerminationVerdict("unknown", reason="non-integer witness")
     state = {v: int(value) for v, value in witness.items()}  # type: ignore[arg-type]
@@ -297,7 +295,7 @@ def analyze_self_loop(
     return TwnAnalysis(t, loop, cf, verdict, iteration_bound, local)
 
 
-def twn_size_bound(analysis: TwnAnalysis, v: str, R: Bound | None = None) -> Bound:
+def twn_size_bound(analysis: TwnAnalysis, v: str) -> Bound:
     """Bound on ``|v|`` after any number of steps of the analyzed transition,
     in terms of the state at loop entry.
 
@@ -306,8 +304,7 @@ def twn_size_bound(analysis: TwnAnalysis, v: str, R: Bound | None = None) -> Bou
     covered by the closed form (below its start, and odd steps of a chained
     loop) are covered by explicitly iterated update polynomials.
     """
-    if R is None:
-        R = analysis.iteration_bound
+    R = analysis.iteration_bound
     if R is None or is_omega(R):
         return INFINITE
     reach = simplify(bsum([R, Const(analysis.cf.start)]))

@@ -21,7 +21,7 @@ settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 FIXTURE_NAMES = [
     "nested",
@@ -47,13 +47,18 @@ def analyzed_fixture(name: str) -> AnalysisResult:
     return analyze(load_fixture(name))
 
 
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_jobs(workload: str, seed: int) -> list:
     """The ``Job``s of one of the benchmark's workloads at ``seed``."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return workloads.WORKLOADS[workload](seed)
+    return perfbench_module("workloads").WORKLOADS[workload](seed)
 
 
 def run_python(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:

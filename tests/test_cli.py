@@ -184,6 +184,24 @@ def test_oversized_integer_literal_is_input_error(guard, tmp_path, capsys):
     assert "integer literal of 5000 digits is too long" in capsys.readouterr().err
 
 
+def test_numerals_are_decimal_digits(tmp_path, capsys):
+    def analyze_guard(bound: str):
+        program = tmp_path / "digits.its"
+        program.write_text(
+            "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+            f"(RULES l0(x) -> l1(x)  l1(x) -> l1(x-1) :|: x > {bound})",
+            encoding="utf-8",
+        )
+        return main(["analyze", str(program)]), capsys.readouterr()
+
+    code, captured = analyze_guard("²")  # a digit to str.isdigit, not a decimal one
+    assert code == 3
+    assert "input error: " in captured.err
+    assert "unexpected character '²'" in captured.err
+    arabic, decimal = analyze_guard("٣"), analyze_guard("3")  # Arabic-Indic three
+    assert arabic == decimal and decimal[0] == 0
+
+
 def nines(digits: int) -> str:
     return "9" * digits
 

@@ -152,3 +152,21 @@ def test_expansions_within_the_caps_parse():
     p = parse_program(four_variable_rule("(x+y+z+w)^11 > 0 && x^64 > 0 && (0)^0 > 0"))
     power = p.transition("t1").guard.children[0]
     assert power.poly.term_count() == 364  # binomial(11 + 3, 3)
+
+
+HEADER = "(GOAL COMPLEXITY)\n(STARTTERM (FUNCTIONSYMBOLS l0))\n(VAR x)\n(RULES\n"
+
+
+@pytest.mark.parametrize("rules, message, line, col", [
+    ("  l0(1) -> l1(x))", "expected variable, found '1'", 5, 6),  # numeral
+    ("  l0(x) -> l1(y))", "unknown variable y", 5, 15),  # identifier
+    ("  l0(x) -> l1(x,))", "expected ), found ','", 5, 16),  # symbol
+    ("\tl0(x) -> l1(x) :|: x > ²)", "unexpected character '²'", 5, 25),  # other
+    ("  l0(x) ->\n  l1(x)", "expected ), found ''", 6, 8),  # end of input
+])
+def test_parse_error_positions_per_token_class(rules, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(HEADER + rules)
+    assert (str(info.value), info.value.line, info.value.col) == (
+        f"{line}:{col}: {message}", line, col)
+

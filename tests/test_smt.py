@@ -169,7 +169,7 @@ def test_garbage_output_is_unknown(tmp_path):
     bad.write_text("print('flagrant nonsense')\n")
     result = SmtContext([sys.executable, str(bad)]).sat_int(Atom(x))
     assert result.status == "unknown"
-    assert result.transcript
+    assert result.reason == "no verdict in solver output"
 
 
 def test_resolve_solver_explicit_missing_raises():
