@@ -48,7 +48,7 @@ OMEGA = _Omega()
 ExtNat = Union[int, _Omega]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: ExtNat
 
@@ -57,22 +57,22 @@ class Const:
             raise ValueError("bounds admit no negative constants")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     parts: tuple["Bound", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod:
     parts: tuple["Bound", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exp:
     base: int  # natural base >= 1
     exponent: "Bound"
@@ -253,7 +253,7 @@ def simplify(b: Bound) -> Bound:
 # -- asymptotic classification ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsymptoticClass:
     kind: str  # "const" | "poly" | "exp" | "inf"
     degree: int = 0

@@ -17,7 +17,7 @@ from .bounds import bound_str, is_omega
 from .engine import AnalysisConfig, AnalysisResult, analyze
 from .ir import ParseError, Program, ProgramError, parse_program
 from .ranking import RankingValidationError
-from .sim import exhaustive_run
+from .sim import VALUE_BITS_CAP, exhaustive_run
 from .smt import SmtContext, SolverNotFound, resolve_solver
 from .twn import TwnRejection, closed_form, twn_check
 
@@ -202,7 +202,9 @@ def _cmd_simulate(args) -> int:
     program = _load(args.file)
     state = _parse_state(args.state, program)
     result = exhaustive_run(program, state, args.max_steps)
-    if result.exceeded:
+    if result.exceeded_reason == "size":
+        print(f"runtime: exceeded (size, cap {VALUE_BITS_CAP} bits)")
+    elif result.exceeded:
         print(f"runtime: exceeded ({result.exceeded_reason}, budget {args.max_steps})")
     else:
         print(f"runtime: {result.rc}")

@@ -27,7 +27,7 @@ class DnfCapExceeded(Exception):
         super().__init__(f"DNF expansion needs more than {cap} clauses")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     poly: Polynomial
 
@@ -50,7 +50,7 @@ class Atom:
         return f"{self.poly} > 0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     children: tuple["Formula", ...]
 
@@ -60,7 +60,7 @@ class And:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     children: tuple["Formula", ...]
 

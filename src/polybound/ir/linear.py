@@ -8,7 +8,7 @@ from fractions import Fraction
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     """``sum(coeffs[v] * v) + const REL 0`` with REL in {=, >=, >}."""
 

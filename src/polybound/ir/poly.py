@@ -46,7 +46,8 @@ class Polynomial:
         cleaned: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                # Fractions are immutable, so one already built is kept
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c != 0:
                     cleaned[mono] = c
         self._terms = cleaned

@@ -38,6 +38,7 @@ analyzer formula they refute never reaches this process.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -482,6 +483,7 @@ def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
     variables = sorted({v for poly in rows for v in poly.variables()})
     if not variables:
         return {}
+    int_rows = [_int_row(poly) for poly in rows]
     # rounding the rational point first
     if hint:
         base = {v: hint.get(v, Fraction(0)) for v in variables}
@@ -494,17 +496,17 @@ def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
                     {**c, v: o} for c in candidates for o in options
                 ]
             for cand in candidates:
-                if all(p.evaluate(cand) >= 0 for p in rows):
+                if all(_holds(row, cand) for row in int_rows):
                     return cand
     # bounded enumeration with partial pruning
-    by_prefix: list[list[Polynomial]] = []
+    by_prefix: list[list[list[tuple[int, tuple]]]] = []
     seen: set[int] = set()
     for i in range(len(variables)):
         scope = set(variables[: i + 1])
         group = []
         for j, poly in enumerate(rows):
             if j not in seen and poly.variables() <= scope:
-                group.append(poly)
+                group.append(int_rows[j])
                 seen.add(j)
         by_prefix.append(group)
 
@@ -520,7 +522,7 @@ def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
             if nodes > ENUM_NODE_CAP:
                 raise Unsupported("enumeration cap")
             assignment[variables[i]] = value
-            if all(p.evaluate(assignment) >= 0 for p in by_prefix[i]):
+            if all(_holds(row, assignment) for row in by_prefix[i]):
                 found = recurse(i + 1)
                 if found is not None:
                     return found
@@ -531,6 +533,23 @@ def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
         return recurse(0)
     except Unsupported:
         return None
+
+
+def _int_row(poly: Polynomial) -> list[tuple[int, tuple]]:
+    """The row's ``(coefficient, monomial)`` pairs in ``int``; rows built
+    from atoms are integral, so anything else is a bug, not a rounding."""
+    if not poly.is_integral():
+        raise ValueError(f"non-integral row {poly} >= 0")
+    return [(coeff.numerator, mono) for mono, coeff in poly.items()]
+
+
+def _holds(row: list[tuple[int, tuple]], state: dict[str, int]) -> bool:
+    total = 0
+    for value, mono in row:
+        for v, e in mono:
+            value *= state[v] ** e
+        total += value
+    return total >= 0
 
 
 # -- driver ---------------------------------------------------------------------
@@ -655,4 +674,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A child answers one script: with its answer flushed, it ends without
+    # the interpreter's shutdown (module teardown, garbage collection).
+    code = main()
+    sys.stdout.flush()
+    os._exit(code)

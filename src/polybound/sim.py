@@ -19,6 +19,11 @@ from .ir import Program, Transition, eval_formula
 
 State = Mapping[str, int]
 
+# Largest bit length of a value the oracle explores: a self-squaring update
+# doubles it every step, so without a cap one value outgrows memory within a
+# few dozen steps, long before the step budget ends the run.
+VALUE_BITS_CAP = 2**16
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -51,7 +56,7 @@ def step(p: Program, c: Configuration) -> list[tuple[Transition, Configuration]]
 class ExhaustiveResult:
     rc: int | None  # None iff exceeded
     exceeded: bool
-    exceeded_reason: str = ""  # "cycle" | "depth" | "cap"
+    exceeded_reason: str = ""  # "cycle" | "depth" | "cap" | "size"
     per_transition: dict[str, int] = field(default_factory=dict)
     explored: int = 0
 
@@ -72,9 +77,9 @@ def exhaustive_run(
     ``rc`` is the supremum of path lengths and ``per_transition[t]`` the
     supremum over paths of the number of ``t``-steps (suprema of different
     transitions may come from different paths).  A cycle in the reachable
-    configuration graph, a path longer than ``max_steps``, or more than
-    ``visited_cap`` distinct configurations all yield ``Exceeded`` rather
-    than a wrong number.
+    configuration graph, a path longer than ``max_steps``, more than
+    ``visited_cap`` distinct configurations, or a value longer than
+    ``VALUE_BITS_CAP`` bits all yield ``Exceeded`` rather than a wrong number.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -93,6 +98,8 @@ def exhaustive_run(
             if pos == 0:
                 color[node] = GRAY
                 if node not in edges:
+                    if any(v.bit_length() > VALUE_BITS_CAP for v in node.values):
+                        raise _Exceeded("size")
                     edges[node] = [(t.tid, c2) for t, c2 in step(p, node)]
                     if len(edges) > visited_cap:
                         raise _Exceeded("cap")

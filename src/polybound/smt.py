@@ -201,11 +201,10 @@ def parse_model(sexprs) -> dict[str, Fraction]:
     return model
 
 
-def _run_solver(script: str, timeout_ms: int, solver: list[str] | None) -> SmtResult:
-    cmd = solver if solver is not None else resolve_solver()
+def _run_solver(script: str, timeout_ms: int, solver: list[str]) -> SmtResult:
     try:
         proc = subprocess.run(
-            cmd,
+            solver,
             input=script,
             capture_output=True,
             text=True,
@@ -251,12 +250,20 @@ class SmtContext:
     process level.  Queries answered in-process (refuted, or with a script
     that cannot be written) count in neither, so a broken solver is still
     told apart from a hard program.
+
+    Without a ``solver`` command the context resolves one when it is built
+    (:func:`resolve_solver`), so a missing ``POLYBOUND_SMT`` solver raises
+    :class:`SolverNotFound` there rather than in the middle of an analysis.
     """
 
     solver: list[str] | None = None
     timeout_ms: int = 5000
     decided: int = field(default=0, init=False)
     failures: list[str] = field(default_factory=list, init=False)
+
+    def __post_init__(self):
+        if self.solver is None:
+            self.solver = resolve_solver()
 
     def sat_int(self, f: Formula) -> SmtResult:
         """Satisfiability of a guard formula over integer-valued variables."""

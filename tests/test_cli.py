@@ -65,6 +65,19 @@ def test_simulate_divergence(capsys):
     assert "exceeded" in capsys.readouterr().out
 
 
+def test_simulate_self_squaring_stops_on_value_size(tmp_path, capsys):
+    path = tmp_path / "self_squaring.its"
+    path.write_text(
+        "(GOAL COMPLEXITY)\n(STARTTERM (FUNCTIONSYMBOLS l0))\n(VAR x)\n"
+        "(RULES\n  l0(x) -> l1(x)\n  l1(x) -> l1(x*x-1) :|: x >= -2\n)\n"
+    )
+    started = time.perf_counter()
+    assert main(["simulate", str(path), "--state", "x=2"]) == 0
+    elapsed = time.perf_counter() - started
+    assert capsys.readouterr().out.splitlines()[0] == "runtime: exceeded (size, cap 65536 bits)"
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
 def test_closed_form_output(capsys):
     assert main(["closed-form", fixture("geo_race"), "--transition", "t1"]) == 0
     out = capsys.readouterr().out

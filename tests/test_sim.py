@@ -1,7 +1,7 @@
 import pytest
 
 from polybound.ir import parse_program
-from polybound.sim import exhaustive_run, make_config, step
+from polybound.sim import VALUE_BITS_CAP, exhaustive_run, make_config, step
 
 from conftest import load_fixture
 
@@ -50,6 +50,29 @@ def test_cycle_detection():
     )
     result = exhaustive_run(p, {"x": 0}, max_steps=50)
     assert result.exceeded and result.exceeded_reason == "cycle"
+
+
+SELF_SQUARING = (
+    "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+    "(RULES l0(x) -> l1(x)  l1(x) -> l1(x*x-1) :|: x >= -2)"
+)
+
+
+def test_self_squaring_loop_stops_on_value_size():
+    # the value's bit length doubles every step, far below the step budget
+    result = exhaustive_run(parse_program(SELF_SQUARING), {"x": 2}, max_steps=10_000)
+    assert result.exceeded and result.exceeded_reason == "size"
+    assert result.explored < 30
+
+
+def test_value_size_cap_is_inclusive():
+    p = parse_program(
+        "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)(RULES l0(x) -> l1(x))"
+    )
+    largest = 2**VALUE_BITS_CAP - 1
+    assert exhaustive_run(p, {"x": -largest}, max_steps=5).rc == 1
+    result = exhaustive_run(p, {"x": largest + 1}, max_steps=5)
+    assert result.exceeded and result.exceeded_reason == "size"
 
 
 def test_determinism(nested):

@@ -194,6 +194,31 @@ def test_resolve_solver_falls_back_to_bundled(monkeypatch):
     assert resolve_solver() == FALLBACK
 
 
+def test_context_resolves_its_solver_when_built(monkeypatch):
+    # a missing solver stops the library before the analysis, as in the CLI
+    monkeypatch.setenv("POLYBOUND_SMT", "/nonexistent/solver")
+    with pytest.raises(SolverNotFound):
+        SmtContext()
+    with pytest.raises(SolverNotFound):
+        analyze(load_fixture("countdown"))
+    assert SmtContext(solver=FALLBACK).solver == FALLBACK
+
+
+def test_context_resolves_its_solver_once(monkeypatch):
+    calls = []
+
+    def counting(explicit=None):
+        calls.append(explicit)
+        return FALLBACK
+
+    monkeypatch.setattr(polybound.smt, "resolve_solver", counting)
+    ctx = SmtContext()
+    assert ctx.solver == FALLBACK
+    analyze(load_fixture("countdown"), AnalysisConfig(smt=ctx))
+    assert ctx.decided > 0  # some query reached the child
+    assert calls == [None]
+
+
 # -- linear systems refuted in-process -------------------------------------------
 
 INFEASIBLE = [  # phase 1 of the simplex pivots before it refutes this
@@ -515,6 +540,12 @@ def test_bundled_int_equality():
     assert bundled_model("(= x 2)")["x"] == 2
 
 
+def test_integer_search_rejects_a_fractional_row():
+    # rows come from atoms, which are integral; a fraction is never truncated
+    with pytest.raises(ValueError, match="non-integral row"):
+        minismt._integer_hunt([x.scale(Fraction(1, 2)) - 1], {})
+
+
 def test_bundled_int_false_is_unsat():
     assert bundled("false")[0] == "unsat"
 
@@ -567,6 +598,29 @@ def child_reply(script: str) -> tuple[str, dict[str, Fraction]]:
 def test_bundled_process_answers_an_int_script():
     verdict, model = child_reply(int_script(mk_and([Atom(x - 2), Atom(-x + 4)])))
     assert (verdict, model) == ("sat", {"x": 3})
+
+
+def test_bundled_process_writes_a_model_larger_than_a_pipe_buffer():
+    names = [f"c{i}" for i in range(3000)]
+    script = "".join(f"(declare-const {n} Real)\n" for n in names)
+    script += "(assert (> c0 1))\n(check-sat)\n(get-model)\n"
+    proc = run_python(["-m", "polybound.minismt"], script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout) > 64 * 1024
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["sat", "("] and lines[-1] == ")"
+    assert [line.split()[1] for line in lines[2:-1]] == sorted(names)
+    assert parse_model(parse_sexprs("\n".join(lines[1:])))["c0"] > 1
+
+
+@pytest.mark.parametrize("script, reply", [
+    ("(declare-const x Real)\n(assert (> x 1))\n(assert (< x 0))\n(check-sat)\n"
+     "(get-model)\n", 'unsat\n(error "no model")\n'),
+    ("(declare-const x Int)\n(assert (> x", "unknown\n"),
+], ids=["unsat", "unparseable"])
+def test_bundled_process_writes_its_whole_short_answer(script, reply):
+    proc = run_python(["-m", "polybound.minismt"], script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, reply, "")
 
 
 def test_bundled_process_answers_a_real_script():

@@ -4,7 +4,15 @@ import pytest
 
 from polybound import twnbounds
 from polybound.bounds import AsymptoticClass, asymptotic_class, bound_eval
-from polybound.ir import Atom, FALSE, Polynomial, TRUE, Transition, eval_formula
+from polybound.ir import (
+    Atom,
+    FALSE,
+    Polynomial,
+    TRUE,
+    Transition,
+    eval_formula,
+    parse_program,
+)
 from polybound.polyexp import PolyExp, pe_eval, pe_substitute
 from polybound.smt import SmtContext
 from polybound.twn import closed_form, twn_check
@@ -266,6 +274,49 @@ def test_chained_loop_local_bound():
             steps += 1
         assert steps == 1
         assert steps <= bound_eval(analysis.local_bound, {"x": start})
+
+
+# A chained loop t with a negative self-coefficient, and t;t written by hand as
+# its own loop: guard g && g[x/eta(x)], update eta . eta.
+DOUBLE_STEPS = {
+    "flip": (
+        ["x", "y"], "-3*x, y", "x > 0 && y > 0",
+        "9*x, y", "x > 0 && y > 0 && -3*x > 0 && y > 0",
+    ),
+    "count": (
+        ["x", "y"], "-x, y-2", "y > 0",
+        "x, y-4", "y > 0 && y-2 > 0",
+    ),
+    "mixed": (
+        ["x", "y", "z"], "-2*x+z, y-1, z", "y > 0 && x > z",
+        "4*x-z, y-2, z", "y > 0 && x > z && y-1 > 0 && -2*x+z > z",
+    ),
+}
+
+
+def loop_transition(variables, update: str, guard: str) -> Transition:
+    args = ",".join(variables)
+    program = parse_program(
+        f"(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR {' '.join(variables)})"
+        f"(RULES l0({args}) -> l1({args})  l1({args}) -> l1({update}) :|: {guard})"
+    )
+    return program.transition("t1")
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_STEPS))
+def test_chained_loop_counts_two_steps_per_double_step(name):
+    variables, update, guard, update2, guard2 = DOUBLE_STEPS[name]
+    single = analyze_self_loop(loop_transition(variables, update, guard))
+    double = analyze_self_loop(loop_transition(variables, update2, guard2))
+    assert isinstance(single, TwnAnalysis) and single.loop.chained
+    assert isinstance(double, TwnAnalysis) and not double.loop.chained
+    assert single.local_bound is not None and double.iteration_bound is not None
+    # every double-step is two steps of t, and a last single step may follow
+    rng = random.Random(name)
+    for _ in range(40):
+        size = {v: abs(rng.randint(-9, 9)) for v in variables}
+        double_steps = bound_eval(double.iteration_bound, size)
+        assert bound_eval(single.local_bound, size) >= 2 * double_steps + 1, size
 
 
 # -- size bounds from closed forms ---------------------------------------------
