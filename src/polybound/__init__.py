@@ -40,6 +40,27 @@ def _lazy_getattr(package: str, namespace: dict, sources: dict[str, tuple[str, .
     return __getattr__
 
 
+class _Value:
+    """``==``, ``hash`` and ``repr`` of the ``__slots__`` fields' tuple, as a
+    dataclass has them, without :mod:`dataclasses` (which loads :mod:`inspect`)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 _EXPORTS = {
     "bounds": (
         "AsymptoticClass", "Bound", "OMEGA", "asymptotic_class", "bound_eval",

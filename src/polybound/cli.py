@@ -189,6 +189,8 @@ def _parse_state(text: str, program: Program) -> dict[str, int]:
         name = name.strip()
         if name not in program.vars:
             raise ProgramError(f"unknown variable in state: {name}")
+        if name in state:
+            raise ProgramError(f"variable named twice in state: {name}")
         try:
             state[name] = int(value.strip())
         except ValueError:

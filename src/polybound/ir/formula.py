@@ -12,9 +12,9 @@ and ``p > 0`` is equivalent to ``p >= 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
+from .. import _Value
 from .poly import Polynomial
 
 
@@ -27,21 +27,16 @@ class DnfCapExceeded(Exception):
         super().__init__(f"DNF expansion needs more than {cap} clauses")
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    poly: Polynomial
+class Atom(_Value):
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        scale = self.poly.denominator_lcm()
-        if scale != 1:
-            object.__setattr__(self, "poly", self.poly.scale(scale))
+    def __init__(self, poly: Polynomial):
+        scale = poly.denominator_lcm()
+        self.poly = poly.scale(scale) if scale != 1 else poly
 
     @property
     def is_const(self) -> bool:
         return self.poly.is_const
-
-    def const_truth(self) -> bool:
-        return self.poly.const_value() > 0
 
     def holds(self, state: Mapping[str, int]) -> bool:
         return self.poly.evaluate(state) > 0
@@ -50,9 +45,11 @@ class Atom:
         return f"{self.poly} > 0"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    children: tuple["Formula", ...]
+class And(_Value):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple["Formula", ...]):
+        self.children = children
 
     def __str__(self) -> str:
         return " && ".join(
@@ -60,9 +57,11 @@ class And:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    children: tuple["Formula", ...]
+class Or(_Value):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple["Formula", ...]):
+        self.children = children
 
     def __str__(self) -> str:
         return " || ".join(str(c) for c in self.children)
@@ -174,7 +173,7 @@ def dnf(f: Formula, cap: int = 64) -> list[tuple[Atom, ...]]:
 def _dnf(f: Formula, cap: int) -> list[list[Atom]]:
     if isinstance(f, Atom):
         if f.is_const:
-            return [[]] if f.const_truth() else []
+            return [[]] if f.holds({}) else []
         return [[f]]
     if isinstance(f, Or):
         out: list[list[Atom]] = []

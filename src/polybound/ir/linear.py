@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .. import _Value
 from .poly import Polynomial
 
 
-@dataclass(frozen=True, slots=True)
-class LinearConstraint:
+class LinearConstraint(_Value):
     """``sum(coeffs[v] * v) + const REL 0`` with REL in {=, >=, >}."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
-    rel: str
+    __slots__ = ("coeffs", "const", "rel")
+
+    def __init__(self, coeffs: tuple[tuple[str, Fraction], ...], const: Fraction, rel: str):
+        self.coeffs, self.const, self.rel = coeffs, const, rel
 
     @staticmethod
     def make(coeffs: dict[str, Fraction], const, rel: str) -> "LinearConstraint":

@@ -18,6 +18,7 @@ Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 _CONST_MONO: Monomial = ()
+_VARS: dict[str, "Polynomial"] = {}
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -63,7 +64,11 @@ class Polynomial:
     def var(name: str) -> "Polynomial":
         if not name:
             raise ValueError("variable name must be nonempty")
-        return Polynomial({((name, 1),): Fraction(1)})
+        if name not in _VARS:  # immutable, so one instance per name is shared
+            if len(_VARS) >= 4096:  # a bound, for processes seeing many names
+                _VARS.clear()
+            _VARS[name] = Polynomial({((name, 1),): Fraction(1)})
+        return _VARS[name]
 
     @staticmethod
     def zero() -> "Polynomial":

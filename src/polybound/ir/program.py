@@ -13,7 +13,7 @@ class ProgramError(Exception):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Transition:
     tid: str
     src: str
@@ -29,7 +29,7 @@ class Transition:
         return self.src == self.tgt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Program:
     vars: tuple[str, ...]
     locs: frozenset[str]

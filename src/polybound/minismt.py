@@ -33,7 +33,8 @@ when every DNF clause is refuted by one of
 
 The last two, with the constant rows, need no search; they are
 :func:`presolve_clause`, which the analyzer also runs in-process, so an
-analyzer formula they refute never reaches this process.
+analyzer formula they refute, or whose first unrefuted clause they leave
+without rows (this process's all-zero ``sat``), never reaches it.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import _Value
 from .ir import (
     FALSE,
     TRUE,
@@ -232,12 +233,13 @@ def real_rows(term, declared) -> list[LinearConstraint]:
 RHS = -1
 
 
-@dataclass(slots=True)
-class _Row:
+class _Row(_Value):
     """``num[j] / den`` for every column j; ``den > 0``."""
 
-    num: dict[int, int]
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict[int, int], den: int = 1):
+        self.num, self.den = num, den
 
 
 def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None):

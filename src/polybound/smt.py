@@ -11,8 +11,10 @@ a linear system (ranking query) by the exact simplex
 (:func:`polybound.minismt.solve_lp`), an integer formula (termination query)
 clause by clause of its DNF by :func:`polybound.minismt.presolve_clause`,
 which runs no simplex and no search.  A refutation is a proof, so it answers
-``unsat`` without a process, whatever the configured solver; every other
-query goes to the configured solver, whose answer and model are kept.  A
+``unsat`` without a process, whatever the configured solver.  A formula whose
+first unrefuted clause those rules leave without rows answers ``sat`` at the
+all-zero state, as the bundled procedure does, also without a process.  Every
+other query goes to the configured solver, whose answer and model are kept.  A
 query whose script would hold a constant too long for ``str()`` answers
 ``unknown``.
 
@@ -247,9 +249,9 @@ class SmtContext:
 
     It also tallies the solver's answers: ``decided`` counts sat and unsat
     answers, ``failures`` holds the reason of every query that failed at the
-    process level.  Queries answered in-process (refuted, or with a script
-    that cannot be written) count in neither, so a broken solver is still
-    told apart from a hard program.
+    process level.  Queries answered in-process (refuted, satisfied at 0, or
+    with a script that cannot be written) count in neither, so a broken
+    solver is still told apart from a hard program.
 
     Without a ``solver`` command the context resolves one when it is built
     (:func:`resolve_solver`), so a missing ``POLYBOUND_SMT`` solver raises
@@ -267,48 +269,53 @@ class SmtContext:
 
     def sat_int(self, f: Formula) -> SmtResult:
         """Satisfiability of a guard formula over integer-valued variables."""
-        return self._decide(f, self._int_refuted, int_script, formula_vars)
+        return self._decide(f, self._int_presolved, int_script, formula_vars)
 
     def sat_real(self, constraints: list[LinearConstraint]) -> SmtResult:
         """Satisfiability of an affine constraint system over real unknowns."""
-        return self._decide(constraints, self._refuted, real_script,
+        return self._decide(constraints, self._real_presolved, real_script,
                             lambda cs: (v for c in cs for v, _ in c.coeffs))
 
-    def _decide(self, query, refuted, write_script, unknowns) -> SmtResult:
-        """Refute ``query`` in-process, or else ask the solver; its model
-        gives 0 to every unknown it leaves out."""
-        if refuted(query):
-            return SmtResult("unsat", reason="refuted in-process")
-        try:
-            script = write_script(query)
-        except UnwritableConstant as exc:
-            return SmtResult("unknown", reason=str(exc))
-        result = _run_solver(script, self.timeout_ms, self.solver)
-        if result.is_sat or result.is_unsat:
-            self.decided += 1
-        elif result.reason.startswith(PROCESS_FAILURES):
-            self.failures.append(result.reason)
+    def _decide(self, query, presolved, write_script, unknowns) -> SmtResult:
+        """The in-process answer to ``query``, if there is one, or else the
+        solver's; its model gives 0 to every unknown it leaves out."""
+        result = presolved(query)
+        if result is None:
+            try:
+                script = write_script(query)
+            except UnwritableConstant as exc:
+                return SmtResult("unknown", reason=str(exc))
+            result = _run_solver(script, self.timeout_ms, self.solver)
+            if result.is_sat or result.is_unsat:
+                self.decided += 1
+            elif result.reason.startswith(PROCESS_FAILURES):
+                self.failures.append(result.reason)
         if result.is_sat:
             for v in unknowns(query):
                 result.model.setdefault(v, Fraction(0))
         return result
 
-    def _refuted(self, constraints: list[LinearConstraint]) -> bool:
-        """Whether the exact simplex proves the system infeasible within the
-        timeout; past it, the solver is asked instead."""
+    def _real_presolved(self, constraints: list[LinearConstraint]) -> SmtResult | None:
+        """``unsat`` if the exact simplex proves the system infeasible within
+        the timeout; otherwise, past it too, None: the solver is asked."""
         deadline = time.monotonic() + self.timeout_ms / 1000.0
         try:
             status, _ = solve_lp(constraints, deadline)
         except TimeoutError:
-            return False
-        return status == "unsat"
+            return None
+        return SmtResult("unsat", reason="refuted in-process") if status == "unsat" else None
 
     @staticmethod
-    def _int_refuted(f: Formula) -> bool:
-        """Whether the search-free rules refute every DNF clause (none at
-        all, too); past the clause cap, the solver is asked instead."""
+    def _int_presolved(f: Formula) -> SmtResult | None:
+        """The bundled child's answer where the search-free rules give it:
+        ``unsat`` if they refute every DNF clause (none at all, too), ``sat``
+        at 0 if the first one they do not refute keeps no row; else None."""
         try:
             clauses = dnf(f, DNF_CAP)
         except DnfCapExceeded:
-            return False
-        return all(presolve_clause(clause) is None for clause in clauses)
+            return None
+        for clause in clauses:
+            rows = presolve_clause(clause)
+            if rows is not None:  # ``_decide`` sets every variable to 0
+                return None if rows else SmtResult("sat", reason="satisfied in-process")
+        return SmtResult("unsat", reason="refuted in-process")

@@ -117,6 +117,11 @@ def test_bad_state_string(capsys):
     assert main(["simulate", fixture("countdown"), "--state", "q=1"]) == 3
 
 
+def test_state_naming_a_variable_twice_is_input_error(capsys):
+    assert main(["simulate", fixture("countdown"), "--state", "x=1,x=5"]) == 3
+    assert "variable named twice in state: x" in capsys.readouterr().err
+
+
 def test_unknown_option_is_input_error(capsys):
     assert main(["analyze", fixture("countdown"), "--mprf-depth", "4"]) == 3
     assert "unrecognized arguments" in capsys.readouterr().err

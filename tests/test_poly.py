@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from polybound.ir import Polynomial
+from polybound.ir import Polynomial, poly
 
 from conftest import random_polynomial
 
@@ -100,3 +100,10 @@ def test_evaluate_matches_fraction_reference(seed):
         value = p.evaluate(state)
         assert isinstance(value, Fraction)
         assert value == reference_evaluate(p, state)
+
+
+def test_shared_variables_stay_bounded():
+    assert Polynomial.var("x") is Polynomial.var("x")
+    for i in range(5000):
+        assert Polynomial.var(f"v{i}") == Polynomial({((f"v{i}", 1),): 1})
+    assert len(poly._VARS) <= 4096

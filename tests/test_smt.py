@@ -16,7 +16,9 @@ import polybound.ranking
 import polybound.smt
 from polybound import minismt
 from polybound.engine import AnalysisConfig, analyze
-from polybound.ir import Atom, Polynomial, eval_formula, mk_and, mk_or, parse_program
+from polybound.ir import (
+    Atom, Polynomial, eval_formula, formula_vars, mk_and, mk_or, parse_program,
+)
 from polybound.minismt import parse_sexprs, solve_lp
 from polybound.smt import (
     LinearConstraint,
@@ -315,6 +317,26 @@ def test_unrefuted_int_query_keeps_the_solvers_model(tmp_path, monkeypatch):
     assert ctx.decided == 1
 
 
+def test_int_query_with_a_rowless_first_clause_starts_no_solver(tmp_path):
+    marker = tmp_path / "called"
+    ctx = SmtContext(stub_solver(tmp_path, f"touch {marker}\nexit 1\n"))
+    # the first clause is refuted, the second pins y to 0 and keeps no row
+    result = ctx.sat_int(mk_or([Atom(-(x**2)), Atom(-(y**2) + 1), Atom(x - 2)]))
+    assert (result.status, result.reason) == ("sat", "satisfied in-process")
+    assert result.model == {"x": 0, "y": 0}
+    assert not marker.exists(), "the solver was started"
+    assert ctx.decided == 0 and not ctx.failures
+
+
+def test_int_query_with_rows_left_in_its_first_unrefuted_clause_goes_to_the_solver(tmp_path):
+    ctx = SmtContext(stub_solver(
+        tmp_path, "echo sat\necho '((define-fun x () Int 7) (define-fun y () Int 7))'\n"))
+    # a later clause would keep no row, but the child answers the first
+    result = ctx.sat_int(mk_or([Atom(x - 2), Atom(-(y**2) + 1)]))
+    assert result.model == {"x": 7, "y": 7}
+    assert ctx.decided == 1
+
+
 def test_int_query_past_the_dnf_cap_goes_to_the_solver(tmp_path):
     # 2^11 clauses, each refuted by its last atom
     split = [mk_or([Atom(Polynomial.var(f"x{i}")), Atom(-Polynomial.var(f"x{i}"))])
@@ -325,12 +347,13 @@ def test_int_query_past_the_dnf_cap_goes_to_the_solver(tmp_path):
 
 
 def test_int_refutations_agree_with_the_bundled_child():
-    asked = []
+    answered = []
 
     class Recording(SmtContext):
         def sat_int(self, f):
-            asked.append(f)
-            return super().sat_int(f)
+            result = super().sat_int(f)
+            answered.append((f, result))
+            return result
 
     smt = Recording(solver=FALLBACK)
     jobs = benchmark_jobs("fixtures", 1)  # the same at every seed
@@ -338,12 +361,24 @@ def test_int_refutations_agree_with_the_bundled_child():
     for job in jobs:
         cfg = AnalysisConfig(twn_enabled=job.twn, ranking_enabled=job.ranking, smt=smt)
         analyze(parse_program(job.text), cfg)
-    refuted = [f for f in asked if SmtContext._int_refuted(f)]
-    assert refuted and len(refuted) < len(asked)
-    for f in refuted:
-        script = int_script(f)
-        proc = run_python(["-m", "polybound.minismt"], stdin=script)
-        assert proc.stdout.split()[:1] == ["unsat"], script
+    in_process = [(f, r) for f, r in answered if r.reason.endswith("in-process")]
+    assert {result.status for _, result in in_process} == {"sat", "unsat"}
+    assert len(in_process) < len(answered)
+    for f, result in in_process:
+        proc = run_python(["-m", "polybound.minismt"], stdin=int_script(f))
+        assert_bundled_answer(f, result.status, result.model, proc.stdout)
+
+
+def assert_bundled_answer(f, status: str, model: dict, reply: str):
+    """``reply``, the bundled procedure's to ``f``, is ``status`` with
+    ``model``: both unsat, or both sat at the all-zero state, where ``f``
+    holds."""
+    replied, *rest = parse_sexprs(reply)
+    assert replied == status, int_script(f)
+    if status == "sat":
+        zero = dict.fromkeys(formula_vars(f), 0)
+        assert parse_model(rest) == model == zero, int_script(f)
+        assert eval_formula(f, zero), f
 
 
 @st.composite
@@ -370,10 +405,14 @@ def int_formulas(draw):
 @settings(max_examples=300)
 @given(int_formulas())
 def test_in_process_int_refutation_implies_the_bundled_unsat(f):
-    if SmtContext._int_refuted(f):
+    result = SmtContext._int_presolved(f)
+    if result is not None:
         out = io.StringIO()
         minismt.run(int_script(f), out)
-        assert out.getvalue().split()[:1] == ["unsat"], int_script(f)
+        # with no model, ``sat_int`` gives every variable 0
+        assert_bundled_answer(f, result.status, dict.fromkeys(formula_vars(f), 0),
+                              out.getvalue())
+    if result is not None and result.is_unsat:
         # the child runs the same presolve, so also check the semantics
         box = range(-3, 4)
         assert not any(eval_formula(f, {"x": a, "y": b}) for a in box for b in box), f
