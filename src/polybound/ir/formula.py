@@ -12,7 +12,7 @@ and ``p > 0`` is equivalent to ``p >= 1``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Union
+from collections.abc import Callable, Iterator, Mapping
 
 from .. import _Value
 from .poly import Polynomial
@@ -67,7 +67,7 @@ class Or(_Value):
         return " || ".join(str(c) for c in self.children)
 
 
-Formula = Union[Atom, And, Or]
+Formula = Atom | And | Or
 
 TRUE = Atom(Polynomial.one())
 FALSE = Atom(Polynomial.zero())

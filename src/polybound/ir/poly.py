@@ -9,12 +9,12 @@ deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, Union
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _ZERO = Fraction(0)
 _CONST_MONO: Monomial = ()

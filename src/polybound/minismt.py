@@ -3,7 +3,9 @@
 Run as ``python -m polybound.minismt``; reads a script on standard input and
 answers ``sat`` (with a model), ``unsat`` or ``unknown``.  It exists so the
 analyzer works on machines without an external SMT solver; when a real
-solver is on the PATH it is preferred (see :mod:`polybound.smt`).
+solver is on the PATH it is preferred (see :mod:`polybound.smt`).  The
+analyzer's queries start it as :func:`polybound.smt.launch_command` builds
+it: isolated, without ``site``, calling :func:`main` on the parent's package.
 
 Accepted input: constants declared all Int or all Real, with polynomial
 terms built from ``+ - * /`` and numerals.
@@ -670,14 +672,14 @@ def _print_value(value: Fraction, sort: str) -> str:
     return sign.format(f"(/ {abs(value.numerator)}.0 {value.denominator}.0)")
 
 
-def main() -> int:
+def main() -> None:
+    """Answers the script on standard input, then ends the process: a child
+    answers one script, and with its answer flushed it skips the
+    interpreter's shutdown (module teardown, garbage collection)."""
     run(sys.stdin.read(), sys.stdout)
-    return 0
+    sys.stdout.flush()
+    os._exit(0)
 
 
 if __name__ == "__main__":
-    # A child answers one script: with its answer flushed, it ends without
-    # the interpreter's shutdown (module teardown, garbage collection).
-    code = main()
-    sys.stdout.flush()
-    os._exit(code)
+    main()

@@ -20,7 +20,9 @@ query whose script would hold a constant too long for ``str()`` answers
 
 Solver resolution order: explicit path argument, the ``POLYBOUND_SMT``
 environment variable, a ``z3`` binary on the PATH, and finally the bundled
-fallback procedure (:mod:`polybound.minismt`) run as a subprocess.
+fallback procedure (:mod:`polybound.minismt`), named by :data:`BUNDLED`,
+whose queries start an isolated child without ``site`` that imports this
+very package (:func:`launch_command`).
 
 Ranking queries are systems of :class:`polybound.ir.linear.LinearConstraint`
 rows, re-exported here.
@@ -64,6 +66,13 @@ class SmtResult:
         return self.status == "unsat"
 
 
+# The bundled procedure's command: what :func:`resolve_solver` falls back to,
+# and how a script is replayed by hand.  Queries run :func:`launch_command`'s.
+BUNDLED = [sys.executable, "-m", "polybound.minismt"]
+# where this ``polybound`` package is imported from
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def resolve_solver(explicit: str | None = None) -> list[str]:
     """Command line for the solver process; raises only for explicit paths."""
     for source, path in (("option", explicit), ("env", os.environ.get("POLYBOUND_SMT"))):
@@ -76,7 +85,7 @@ def resolve_solver(explicit: str | None = None) -> list[str]:
     found = shutil.which("z3")
     if found:
         return _command_for(found)
-    return [sys.executable, "-m", "polybound.minismt"]
+    return list(BUNDLED)
 
 
 def _command_for(path: str) -> list[str]:
@@ -84,6 +93,31 @@ def _command_for(path: str) -> list[str]:
     if "z3" in name:
         return [path, "-in", "-smt2"]
     return [path]
+
+
+def launch_command(solver: list[str]) -> list[str]:
+    """The command a query runs for ``solver``: itself, except for
+    :data:`BUNDLED`.
+
+    The bundled procedure starts isolated (``-I``: neither the working
+    directory nor ``PYTHON*`` variables reach ``sys.path``), so a
+    ``fractions.py`` or ``polybound/`` where the analyzer runs cannot shadow
+    its imports, and without ``site`` (``-S``: no site-packages and their
+    ``.pth`` hooks, about a quarter of a one-line query's time).  It
+    appends the parent's package root to its path, so it runs the parent's
+    ``polybound`` over the standard library.  ``-I`` drops the environment,
+    so what it carried is passed on: no bytecode writing (``-B``) and the
+    limit on integer string conversion, which a script's constants may need
+    lifted.  Both are read per query.
+    """
+    if solver != BUNDLED:
+        return solver
+    flags = ["-I", "-S", "-X", f"int_max_str_digits={sys.get_int_max_str_digits()}"]
+    if sys.dont_write_bytecode:
+        flags.append("-B")
+    code = (f"import sys; sys.path.append({PACKAGE_ROOT!r}); "
+            "from polybound.minismt import main; main()")
+    return [sys.executable, *flags, "-c", code]
 
 
 # -- script emission -----------------------------------------------------------
@@ -206,7 +240,7 @@ def parse_model(sexprs) -> dict[str, Fraction]:
 def _run_solver(script: str, timeout_ms: int, solver: list[str]) -> SmtResult:
     try:
         proc = subprocess.run(
-            solver,
+            launch_command(solver),
             input=script,
             capture_output=True,
             text=True,
@@ -218,9 +252,14 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str]) -> SmtResult:
         return SmtResult("unknown", reason=f"solver not found: {exc}")
     except OSError as exc:
         return SmtResult("unknown", reason=f"solver failed: {exc}")
+    return parse_reply(proc.stdout)
+
+
+def parse_reply(reply: str) -> SmtResult:
+    """The verdict, and for ``sat`` the model, a solver wrote to standard output."""
     status = None
     rest_lines: list[str] = []
-    for line in proc.stdout.splitlines():
+    for line in reply.splitlines():
         stripped = line.strip()
         if status is None and stripped in ("sat", "unsat", "unknown"):
             status = stripped

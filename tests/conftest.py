@@ -61,14 +61,23 @@ def benchmark_jobs(workload: str, seed: int) -> list:
     return perfbench_module("workloads").WORKLOADS[workload](seed)
 
 
-def run_python(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+def run_python(args: list[str], stdin: str = "", cwd=None) -> subprocess.CompletedProcess:
     """``python ARGS`` in a fresh interpreter that imports this checkout."""
     paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, text=True,
-        env=env, timeout=120,
+        env=env, cwd=cwd, timeout=120,
     )
+
+
+def shadowing_directory(path: Path) -> Path:
+    """``path`` holding a ``fractions.py`` and a ``polybound`` package that
+    both exit at import, as a working directory no import may come from."""
+    (path / "polybound").mkdir(parents=True)
+    for module in (path / "fractions.py", path / "polybound" / "__init__.py"):
+        module.write_text(f"raise SystemExit('imported {module.relative_to(path)}')\n")
+    return path
 
 
 @pytest.fixture

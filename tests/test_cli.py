@@ -7,7 +7,7 @@ import pytest
 
 from polybound.cli import main
 
-from conftest import FIXTURES, FIXTURE_NAMES, run_python
+from conftest import FIXTURES, FIXTURE_NAMES, run_python, shadowing_directory
 
 SCHEMA_PATH = (
     Path(__file__).resolve().parent.parent / "src" / "polybound" / "report_schema.json"
@@ -157,6 +157,19 @@ def test_module_entry_point_runs_the_cli():
     proc = run_python(["-m", "polybound.cli", "analyze", fixture("countdown")])
     assert proc.returncode == 0, proc.stderr
     assert "RB(" in proc.stdout
+
+
+def test_script_entry_point_ignores_a_shadowing_working_directory(tmp_path, capsys):
+    # run as the console script runs: its own directory, not the working
+    # directory, heads the parent's path; the solver child must not import
+    # from the working directory either
+    script = tmp_path / "bin" / "polybound"
+    script.parent.mkdir()
+    script.write_text("import sys\nfrom polybound.cli import main\nsys.exit(main())\n")
+    cwd = shadowing_directory(tmp_path / "work")
+    proc = run_python([str(script), "analyze", fixture("countdown")], cwd=cwd)
+    assert main(["analyze", fixture("countdown")]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_broken_solver_exits_four(tmp_path, capsys):

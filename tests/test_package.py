@@ -1,11 +1,14 @@
 """The package's lazy exports, and what the bundled solver's process loads."""
 
 import importlib
+import re
+import subprocess
 
 import pytest
 
 import polybound
 import polybound.ir
+from polybound.smt import BUNDLED, launch_command
 
 from conftest import run_python
 
@@ -37,17 +40,17 @@ def test_unknown_attribute_raises_attribute_error(package):
 
 
 def test_bundled_solver_process_loads_only_what_it_uses():
-    # diffed inside the child, so a module that site preloads neither hides
-    # nor fakes an import of the solver's
-    proc = run_python([
-        "-c",
-        "import sys; before = set(sys.modules); import polybound.minismt; "
-        "print(' '.join(sorted(set(sys.modules) - before)))",
-    ])
-    assert proc.returncode == 0, proc.stderr
-    added = proc.stdout.split()
-    assert "dataclasses" not in added and "inspect" not in added, added
-    assert [m for m in added if m.startswith("polybound")] == [
+    # the command a query runs, verbose: it lists every module it imports,
+    # from interpreter start-up on
+    command = launch_command(BUNDLED)
+    proc = subprocess.run(
+        [command[0], "-v", *command[1:]], input="(declare-const x Int)\n"
+        "(assert (> x 2))\n(check-sat)\n", capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "sat\n"), proc.stderr
+    loaded = re.findall(r"^import '([^']+)'", proc.stderr, re.MULTILINE)
+    assert not {"site", "typing", "dataclasses", "inspect"} & set(loaded), loaded
+    assert sorted(m for m in loaded if m.startswith("polybound")) == [
         "polybound",
         "polybound.ir",
         "polybound.ir.formula",

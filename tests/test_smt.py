@@ -1,7 +1,9 @@
 import io
 import math
 import random
+import shutil
 import stat
+import subprocess
 import sys
 import textwrap
 import time
@@ -25,18 +27,22 @@ from polybound.smt import (
     SmtContext,
     SolverNotFound,
     int_script,
+    launch_command,
     parse_model,
+    parse_reply,
     real_script,
     resolve_solver,
 )
 
 from conftest import (
     FIXTURE_NAMES,
+    SRC,
     benchmark_jobs,
     load_fixture,
     random_polynomial,
     reference_solve_lp,
     run_python,
+    shadowing_directory,
 )
 
 x = Polynomial.var("x")
@@ -674,3 +680,70 @@ def test_bundled_process_answers_a_real_script():
     assert child_reply(real_script(rows + [LinearConstraint.make({"a": -1}, 0, ">=")])) == (
         "unsat", {}
     )
+
+
+# -- how a query starts the bundled solver --------------------------------------
+
+
+def procedure_reply(script: str):
+    """The bundled procedure's reply to ``script``, answered in-process."""
+    out = io.StringIO()
+    minismt.run(script, out)
+    return parse_reply(out.getvalue())
+
+
+def test_launched_child_answers_every_fixture_query_as_the_procedure_does(monkeypatch):
+    run_solver = polybound.smt._run_solver
+    asked = []
+
+    def recording(script, timeout_ms, solver):
+        result = run_solver(script, timeout_ms, solver)
+        asked.append((script, result))
+        return result
+
+    monkeypatch.setattr(polybound.smt, "_run_solver", recording)
+    smt = SmtContext(solver=FALLBACK)
+    for name in FIXTURE_NAMES:
+        analyze(load_fixture(name), AnalysisConfig(smt=smt))
+    assert asked and smt.decided == len(asked) and not smt.failures
+    for script, result in asked:
+        expected = procedure_reply(script)
+        assert (result.status, result.model) == (expected.status, expected.model), script
+
+
+def test_bundled_query_ignores_a_shadowing_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(shadowing_directory(tmp_path))
+    f = mk_and([Atom(x - 2), Atom(-x + 4)])
+    result = BUNDLED.sat_int(f)
+    expected = procedure_reply(int_script(f))
+    assert (result.status, result.model) == (expected.status, expected.model) == ("sat", {"x": 3})
+
+
+def test_bundled_query_keeps_the_parents_limit_on_integer_strings():
+    c = 10**4999  # 5,000 digits, past the default limit of 4,300
+    rows = [LinearConstraint.make({"a": 1}, -c, ">=")]  # a >= c
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(6000)
+    try:
+        result = BUNDLED.sat_real(rows)
+        expected = procedure_reply(real_script(rows))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (result.status, result.model) == (expected.status, expected.model) == ("sat", {"a": c})
+
+
+def test_bundled_query_from_a_no_bytecode_parent_writes_no_bytecode(tmp_path):
+    # a copy without bytecode, which the parent imports and so the child too
+    root = tmp_path / "src"
+    shutil.copytree(SRC / "polybound", root / "polybound",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = (
+        f"import sys; sys.path.insert(0, {str(root)!r}); "
+        "from polybound.ir import Atom, Polynomial; from polybound import smt; "
+        "f = Atom(Polynomial.var('x') - 2); "
+        "print(smt.PACKAGE_ROOT, smt.SmtContext(smt.BUNDLED).sat_int(f).status)"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, f"{root} sat\n"), proc.stderr
+    assert not list(root.rglob("__pycache__"))
