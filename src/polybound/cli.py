@@ -225,7 +225,7 @@ def _cmd_closed_form(args) -> int:
         print(f"not analyzable: {exc}", file=sys.stderr)
         return 2
     cf = closed_form(loop)
-    if loop.chained:
+    if len(loop.path) > 1:
         print("note: negative self-coefficients; closed form is for the doubled step",
               file=sys.stderr)
     for v in program.vars:

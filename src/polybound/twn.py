@@ -1,12 +1,13 @@
-"""Triangular weakly non-linear self-loops: detection, chaining, closed forms.
+"""Twn loops: paths of transitions composed into one step, and closed forms.
 
-A self-loop qualifies when its variables can be ordered so that each update
-is ``c_i * x_i + p_i`` with a constant self-coefficient ``c_i`` and ``p_i``
-mentioning only strictly later variables: the dependency graph is acyclic and
-no variable occurs non-linearly in its own update.  Negative self-coefficients
-are removed by chaining (self-composition): one iteration of the chained loop
-equals two of the original, the squared coefficients are nonnegative, and a
-runtime bound B for the chained loop gives 2*B + 1 for the original.
+A path's guard and update (``compose``) are those of running its transitions
+in order.  A self-loop qualifies when its variables can be ordered so that
+each update is ``c_i * x_i + p_i`` with a constant self-coefficient ``c_i``
+and ``p_i`` mentioning only strictly later variables: the dependency graph is
+acyclic and no variable occurs non-linearly in its own update.  Its path is
+the loop itself, or the loop twice when a self-coefficient is negative, which
+squares the coefficients.  A bound B on the runs of a path of k transitions
+gives k*B + k - 1 steps of them (2*B + 1 at k = 2).
 
 Closed forms are computed variable by variable in reverse dependency order.
 With cl(later) already known, the recurrence ``x^(k+1) = c*x^(k) + p(...)``
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .ir import (
     Formula,
@@ -69,8 +71,7 @@ class TwnLoop:
     update: dict[str, Polynomial]
     order: tuple[str, ...]  # update of order[i] mentions only later entries
     coeffs: dict[str, int]  # self-coefficients, all >= 0
-    chained: bool
-    original_update: dict[str, Polynomial] | None = None  # set when chained
+    path: tuple[Transition, ...]  # guard and update are its composition
 
 
 @dataclass(frozen=True)
@@ -145,30 +146,38 @@ def _find_cycle(deps: dict[str, frozenset], remaining: set[str]) -> list[str]:
     return seen[start:] + [node]
 
 
-def chain(guard: Formula, update: dict[str, Polynomial]) -> tuple[Formula, dict[str, Polynomial]]:
-    """Self-composition: guard ``tau && tau[x/eta(x)]``, update ``eta . eta``.
+def compose(path: tuple[Transition, ...]) -> tuple[Formula, dict[str, Polynomial]]:
+    """Guard and update of running ``path``'s transitions in order: each
+    step's guard is taken in the state the steps before it reach."""
+    guards = [path[0].guard]
+    update = dict(path[0].update)
+    for t in path[1:]:
+        guards.append(substitute(t.guard, update))
+        update = compose_updates(update, t.update)
+    return mk_and(guards), update
 
-    One step of the result equals two steps of the input, so a runtime bound
-    B for the result yields 2*B + 1 for the input.
-    """
-    stepped_guard = substitute(guard, update)
-    return mk_and([guard, stepped_guard]), compose_updates(update, update)
+
+def iterates(update: dict[str, Polynomial], count: int) -> Iterator[dict[str, Polynomial]]:
+    """``update`` applied 0, 1, ..., count - 1 times, as polynomials in the
+    start state."""
+    current = {v: Polynomial.var(v) for v in update}
+    for _ in range(count):
+        yield current
+        current = compose_updates(current, update)
 
 
 def twn_check(t: Transition) -> TwnLoop:
-    """Validate a self-loop as twn, chaining away negative self-coefficients."""
+    """Validate a self-loop as twn, composing it with itself when a
+    self-coefficient is negative."""
     if not t.is_self_loop:
         raise NotSelfLoop(t)
     variables = tuple(t.update.keys())
-    order, coeffs = _check_structure(variables, t.update)
-    if all(c >= 0 for c in coeffs.values()):
-        return TwnLoop(t.guard, dict(t.update), order, coeffs, chained=False)
-    guard2, update2 = chain(t.guard, t.update)
-    order2, coeffs2 = _check_structure(variables, update2)
-    assert all(c >= 0 for c in coeffs2.values()), "chained self-coefficients are squares"
-    return TwnLoop(
-        guard2, update2, order2, coeffs2, chained=True, original_update=dict(t.update)
-    )
+    _, coeffs = _check_structure(variables, t.update)
+    path = (t,) if all(c >= 0 for c in coeffs.values()) else (t, t)
+    guard, update = compose(path)
+    order, coeffs = _check_structure(variables, update)
+    assert all(c >= 0 for c in coeffs.values()), "doubled self-coefficients are squares"
+    return TwnLoop(guard, update, order, coeffs, path)
 
 
 def closed_form(loop: TwnLoop) -> ClosedForm:
@@ -192,14 +201,11 @@ def closed_form(loop: TwnLoop) -> ClosedForm:
         if inner_start > 0:
             # Replace the first inner_start summands: subtract the symbolic
             # values of g at k < inner_start, add the true iterated values.
-            subst_k = {v: Polynomial.var(v) for v in loop.update}
-            for k in range(inner_start):
-                symbolic = _addends_at(g, k)
-                true_value = p.substitute(subst_k)
-                correction = (true_value - symbolic).scale(Fraction(1, c ** (k + 1)))
+            for k, state_k in enumerate(iterates(loop.update, inner_start)):
+                true_value = p.substitute(state_k)
+                correction = (true_value - _addends_at(g, k)).scale(Fraction(1, c ** (k + 1)))
                 if not correction.is_zero:
                     total = pe_add(total, PolyExp(((correction, 0, c),)))
-                subst_k = compose_updates(subst_k, dict(loop.update))
         values[var] = total
         var_start[var] = inner_start
     start = max(var_start.values(), default=0)

@@ -1,6 +1,6 @@
 """Termination and local runtime bounds for twn self-loops.
 
-The pipeline per self-loop: detect (and possibly chain), compute closed
+The pipeline per self-loop: detect (and compose its path), compute closed
 forms, reduce non-termination to an existential integer formula, ask the
 solver, and for terminating loops derive a symbolic bound on the iteration
 count from a stabilization argument.
@@ -48,7 +48,7 @@ from .ir import (
 )
 from .polyexp import PolyExp, pe_eval, pe_normalize_integer, pe_substitute, pe_values
 from .smt import SmtContext
-from .twn import ClosedForm, TwnLoop, TwnRejection, closed_form, twn_check
+from .twn import ClosedForm, TwnLoop, TwnRejection, closed_form, compose, iterates, twn_check
 
 SEARCH_CAP = 10**6
 
@@ -77,12 +77,11 @@ class Unsupported:
 class TwnAnalysis:
     """Everything the engine and the size-bound rules need for one self-loop."""
 
-    transition: Transition
-    loop: TwnLoop
+    loop: TwnLoop  # its path holds the analyzed transition
     cf: ClosedForm
     verdict: TerminationVerdict
-    iteration_bound: Bound | None  # bounds n for the analyzed (maybe chained) loop
-    local_bound: Bound | None  # bounds steps of the original transition
+    iteration_bound: Bound | None  # bounds n, the runs of the whole path
+    local_bound: Bound | None  # bounds steps of the path's transitions
 
 
 def eventual_atom(pe: PolyExp) -> Formula:
@@ -227,20 +226,16 @@ def prove_termination(
         m_hat = _numeric_stabilization_point(loop, cf, model)
     except CapExceeded:
         return TerminationVerdict("unknown", reason="stabilization search cap")
-    witness = {v: _int_value(pe_eval(cf[v], model, m_hat)) for v in loop.update}
-    if any(value is None for value in witness.values()):
+    witness = {v: pe_eval(cf[v], model, m_hat) for v in loop.update}
+    if any(value.denominator != 1 for value in witness.values()):
         return TerminationVerdict("unknown", reason="non-integer witness")
-    state = {v: int(value) for v, value in witness.items()}  # type: ignore[arg-type]
+    state = {v: value.numerator for v, value in witness.items()}
     current = dict(state)
     for _ in range(100):
         if not eval_formula(loop.guard, current):
             return TerminationVerdict("unknown", reason="witness failed simulation")
         current = {v: rhs.evaluate_int(current) for v, rhs in loop.update.items()}
     return TerminationVerdict("nonterminating", witness=state)
-
-
-def _int_value(value: Fraction) -> int | None:
-    return value.numerator if value.denominator == 1 else None
 
 
 def _numeric_stabilization_point(
@@ -272,9 +267,9 @@ def analyze_self_loop(
 ) -> TwnAnalysis | Unsupported:
     """Full pipeline: check, closed form, termination, stabilization bound.
 
-    For chained loops the stabilization bound B counts double-steps, so the
-    original transition gets 2*B + 1; the closed-form validity start is added
-    on top to cover the uncovered prefix.
+    The stabilization bound B counts runs of the loop's path of k transitions,
+    which take k*B + k - 1 steps (2*B + 1 at k = 2); the closed-form validity
+    start is added on top to cover the uncovered prefix.
     """
     try:
         loop = twn_check(t)
@@ -283,16 +278,14 @@ def analyze_self_loop(
     cf = closed_form(loop)
     verdict = prove_termination(loop, cf, smt)
     if not verdict.is_terminating:
-        return TwnAnalysis(t, loop, cf, verdict, None, None)
+        return TwnAnalysis(loop, cf, verdict, None, None)
     try:
         iteration_bound = stabilization_bound(loop, cf)
     except CapExceeded as exc:
         return Unsupported(f"threshold search cap exceeded: {exc}")
-    local: Bound = iteration_bound
-    if loop.chained:
-        local = bsum([bprod([Const(2), local]), Const(1)])
-    local = simplify(bsum([local, Const(cf.start)]))
-    return TwnAnalysis(t, loop, cf, verdict, iteration_bound, local)
+    k = len(loop.path)
+    local = bsum([bprod([Const(k), iteration_bound]), Const(k - 1), Const(cf.start)])
+    return TwnAnalysis(loop, cf, verdict, iteration_bound, simplify(local))
 
 
 def twn_size_bound(analysis: TwnAnalysis, v: str) -> Bound:
@@ -300,37 +293,31 @@ def twn_size_bound(analysis: TwnAnalysis, v: str) -> Bound:
     in terms of the state at loop entry.
 
     Each closed-form addend ``q * n^a * b^n`` is bounded by its coefficient
-    magnitude times the extremal value at n = R + start; the iterations not
-    covered by the closed form (below its start, and odd steps of a chained
-    loop) are covered by explicitly iterated update polynomials.
+    magnitude times the extremal value at n = R + start; iterated updates
+    cover the runs below that start, and each proper prefix of the path the
+    states inside a run.
     """
     R = analysis.iteration_bound
     if R is None or is_omega(R):
         return INFINITE
     reach = simplify(bsum([R, Const(analysis.cf.start)]))
-    even_bound = _even_size(analysis, v, reach)
-    if not analysis.loop.chained:
-        return even_bound
-    # odd steps of the original loop: one original update applied to a state
-    # the chained analysis already bounds
-    assert analysis.loop.original_update is not None
-    even_bounds = {w: _even_size(analysis, w, reach) for w in analysis.loop.update}
-    odd = bound_subst(bound_of_poly(analysis.loop.original_update[v]), even_bounds)
-    return simplify(bsum([even_bound, odd]))
+    early = list(iterates(analysis.loop.update, analysis.cf.start))
 
+    def run_size(w: str) -> Bound:
+        parts: list[Bound] = []
+        for q, a, b in analysis.cf[w].addends:
+            factors: list[Bound] = [bound_of_poly(q)]
+            factors.extend([reach] * a)
+            if b != 1:
+                factors.append(Exp(b, reach))
+            parts.append(bprod(factors))
+        parts.extend(bound_of_poly(state[w]) for state in early)
+        return simplify(bsum(parts))
 
-def _even_size(analysis: TwnAnalysis, v: str, reach: Bound) -> Bound:
-    parts: list[Bound] = []
-    for q, a, b in analysis.cf[v].addends:
-        factors: list[Bound] = [bound_of_poly(q)]
-        factors.extend([reach] * a)
-        if b != 1:
-            factors.append(Exp(b, reach))
-        parts.append(bprod(factors))
-    iterate = {w: Polynomial.var(w) for w in analysis.loop.update}
-    for _ in range(analysis.cf.start):
-        parts.append(bound_of_poly(iterate[v]))
-        iterate = {
-            w: rhs.substitute(iterate) for w, rhs in analysis.loop.update.items()
-        }
-    return simplify(bsum(parts))
+    path = analysis.loop.path
+    sizes = [run_size(v)]
+    for j in range(1, len(path)):
+        prefix = compose(path[:j])[1][v]
+        sizes.append(bound_subst(
+            bound_of_poly(prefix), {w: run_size(w) for w in prefix.variables()}))
+    return simplify(bsum(sizes))

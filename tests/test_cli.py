@@ -87,6 +87,14 @@ def test_closed_form_output(capsys):
     assert "valid from n = 0" in out
 
 
+def test_closed_form_of_a_doubled_loop(capsys):
+    # x := -2*x has a negative self-coefficient, so the closed form is of x := 4*x
+    assert main(["closed-form", fixture("flip_sign"), "--transition", "t1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x(n) = x * 4^n\nvalid from n = 0\n"
+    assert "negative self-coefficients" in captured.err
+
+
 def test_closed_form_rejects_non_self_loop(capsys):
     assert main(["closed-form", fixture("nested"), "--transition", "t1"]) == 2
     assert "not analyzable" in capsys.readouterr().err

@@ -4,7 +4,9 @@ The oracle is the benchmark's (``perfbench/oracle.py``): from a seeded
 sample of small initial states it compares each finite runtime bound RB,
 size bound SB and overall bound with what ``exhaustive_run`` observes, and
 flags a finite overall bound from which a configuration cycle is reachable.
-Every program is checked under the three configurations.
+Every program is checked under the three configurations.  Each reported
+nontermination witness is run apart from the analyzer, which checks it only
+by a short simulation of its own.
 """
 
 import pytest
@@ -12,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybound.engine import AnalysisConfig, analyze
-from polybound.ir import parse_program
+from polybound.ir import TRUE, Polynomial, Program, Transition, parse_program
+from polybound.sim import exhaustive_run
 
-from conftest import benchmark_jobs, perfbench_module
+from conftest import benchmark_jobs, load_fixture, perfbench_module
 
 oracle = perfbench_module("oracle")
 
@@ -131,3 +134,31 @@ def programs(draw) -> str:
 def test_generated_programs_are_sound_under_every_configuration(text):
     found, _ = violations(text, 1, "generated")
     assert not found, (text, found)
+
+
+WITNESS_STEPS = 10_000
+NONTERMINATING_LOOPS = ["nonterm_shift", "nonterm_feed", "nonterm_race", "nonlinear_wide"]
+
+
+@pytest.mark.parametrize(
+    "pid, seed",
+    [("diverge", None)] + [(pid, seed) for seed in (1, 7) for pid in NONTERMINATING_LOOPS],
+)
+def test_nontermination_witnesses_run_past_the_step_budget(pid, seed):
+    if seed is None:
+        program, config = load_fixture(pid), AnalysisConfig()
+    else:
+        job = next(job for job in benchmark_jobs("twn_loops", seed) if job.pid == pid)
+        program = parse_program(job.text)
+        config = AnalysisConfig(twn_enabled=job.twn, ranking_enabled=job.ranking)
+    verdicts = analyze(program, config).twn_verdicts
+    witnesses = {tid: v["witness"] for tid, v in verdicts.items() if v["status"] == "nonterminating"}
+    assert set(witnesses) == {"t1"}, verdicts
+    # an identity entry and the reported loop alone, started at the witness
+    loop = program.transition("t1")
+    entry = Transition("entry", "witness", TRUE, {v: Polynomial.var(v) for v in program.vars},
+                       loop.src)
+    alone = Program(program.vars, frozenset({"witness", loop.src}), "witness", (entry, loop))
+    state = {v: witnesses["t1"].get(v, 0) for v in program.vars}
+    run = exhaustive_run(alone, state, WITNESS_STEPS)
+    assert run.exceeded_reason in ("cycle", "depth", "size"), (state, run.rc)

@@ -8,8 +8,8 @@ from polybound.twn import (
     CyclicDependency,
     NonLinearSelfOccurrence,
     NotSelfLoop,
-    chain,
     closed_form,
+    compose,
     twn_check,
 )
 
@@ -27,7 +27,7 @@ def test_triangular_loop_accepted():
     loop = twn_check(t)
     assert loop.order == ("x1", "x2")
     assert loop.coeffs == {"x1": 1, "x2": 1}
-    assert not loop.chained
+    assert loop.path == (t,)
 
 
 def test_cyclic_dependencies_rejected():
@@ -48,9 +48,14 @@ def test_non_self_loop_rejected():
         twn_check(t)
 
 
+def test_compose_single_step_is_the_transition():
+    t = self_loop({"x": -x, "y": x + 1}, guard=normalize_atom(x, "!=", Polynomial.zero()))
+    assert compose((t,)) == (t.guard, t.update)
+
+
 def test_chain_sign_flip():
-    guard = normalize_atom(x, "!=", Polynomial.zero())
-    guard2, update2 = chain(guard, {"x": -x})
+    t = self_loop({"x": -x}, guard=normalize_atom(x, "!=", Polynomial.zero()))
+    guard2, update2 = compose((t, t))
     assert update2 == {"x": x}
     for v in (-3, -1, 1, 4):
         assert eval_formula(guard2, {"x": v})
@@ -58,18 +63,29 @@ def test_chain_sign_flip():
 
 
 def test_chain_decrement():
-    guard = Atom(x)
-    guard2, update2 = chain(guard, {"x": x - 1})
+    guard2, update2 = compose((self_loop({"x": x - 1}, guard=Atom(x)),) * 2)
     assert update2 == {"x": x - 2}
     assert eval_formula(guard2, {"x": 2})  # x>0 and x-1>0
     assert not eval_formula(guard2, {"x": 1})
+
+
+def test_compose_takes_each_guard_after_the_steps_before_it():
+    y = Polynomial.var("y")
+    first = Transition("t1", "l1", Atom(x), {"x": x - 1, "y": y + x}, "l2")
+    second = Transition("t2", "l2", Atom(y - 5), {"x": x, "y": 2 * y}, "l1")
+    guard, update = compose((first, second))
+    assert update == {"x": x - 1, "y": 2 * y + 2 * x}
+    # y + x > 5 after the first step
+    assert eval_formula(guard, {"x": 3, "y": 3})
+    assert not eval_formula(guard, {"x": 3, "y": 2})
+    assert not eval_formula(guard, {"x": 0, "y": 9})
 
 
 def test_chain_equals_two_steps_on_random_states():
     rng = random.Random(12)
     for _ in range(40):
         t = random_twn_transition(rng, max_vars=3, max_degree=2, max_coeff=4)
-        guard2, update2 = chain(t.guard, t.update)
+        guard2, update2 = compose((t, t))
         state = {v: rng.randint(-5, 5) for v in t.update}
         two_steps = iterate_update(t.update, state, 2)
         one_chained = iterate_update(update2, state, 1)
@@ -79,11 +95,10 @@ def test_chain_equals_two_steps_on_random_states():
 def test_negative_coefficient_triggers_chaining():
     t = self_loop({"x": -2 * x}, guard=Atom(x))
     loop = twn_check(t)
-    assert loop.chained
+    assert loop.path == (t, t)
     assert loop.update == {"x": 4 * x}
     assert loop.coeffs == {"x": 4}
-    assert loop.original_update == {"x": -2 * x}
-    # chained guard: x > 0 and -2x > 0, unsatisfiable over the integers
+    # doubled guard: x > 0 and -2x > 0, unsatisfiable over the integers
     assert not any(eval_formula(loop.guard, {"x": v}) for v in range(-10, 11))
 
 

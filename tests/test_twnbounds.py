@@ -15,7 +15,7 @@ from polybound.ir import (
 )
 from polybound.polyexp import PolyExp, pe_eval, pe_substitute
 from polybound.smt import SmtContext
-from polybound.twn import closed_form, twn_check
+from polybound.twn import closed_form, compose, twn_check
 from polybound.twnbounds import (
     CapExceeded,
     TwnAnalysis,
@@ -264,7 +264,7 @@ def test_chained_loop_local_bound():
     t = self_loop({"x": -2 * x}, guard=Atom(x))
     analysis = analyze_self_loop(t)
     assert isinstance(analysis, TwnAnalysis)
-    assert analysis.loop.chained
+    assert len(analysis.loop.path) == 2
     # the loop runs exactly one step from any positive start
     for start in (1, 2, 9, 50):
         current = {"x": start}
@@ -276,8 +276,8 @@ def test_chained_loop_local_bound():
         assert steps <= bound_eval(analysis.local_bound, {"x": start})
 
 
-# A chained loop t with a negative self-coefficient, and t;t written by hand as
-# its own loop: guard g && g[x/eta(x)], update eta . eta.
+# A loop t with a negative self-coefficient, and t;t written by hand as its own
+# loop: guard g && g[x/eta(x)], update eta . eta.
 DOUBLE_STEPS = {
     "flip": (
         ["x", "y"], "-3*x, y", "x > 0 && y > 0",
@@ -308,15 +308,24 @@ def test_chained_loop_counts_two_steps_per_double_step(name):
     variables, update, guard, update2, guard2 = DOUBLE_STEPS[name]
     single = analyze_self_loop(loop_transition(variables, update, guard))
     double = analyze_self_loop(loop_transition(variables, update2, guard2))
-    assert isinstance(single, TwnAnalysis) and single.loop.chained
-    assert isinstance(double, TwnAnalysis) and not double.loop.chained
+    assert isinstance(single, TwnAnalysis) and isinstance(double, TwnAnalysis)
+    k = len(single.loop.path)
+    assert k == 2 and len(double.loop.path) == 1
     assert single.local_bound is not None and double.iteration_bound is not None
     # every double-step is two steps of t, and a last single step may follow
     rng = random.Random(name)
     for _ in range(40):
         size = {v: abs(rng.randint(-9, 9)) for v in variables}
         double_steps = bound_eval(double.iteration_bound, size)
-        assert bound_eval(single.local_bound, size) >= 2 * double_steps + 1, size
+        assert bound_eval(single.local_bound, size) >= k * double_steps + k - 1, size
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_STEPS))
+def test_compose_twice_is_the_double_step(name):
+    variables, update, guard, update2, guard2 = DOUBLE_STEPS[name]
+    t = loop_transition(variables, update, guard)
+    double = loop_transition(variables, update2, guard2)
+    assert compose((t, t)) == (double.guard, double.update)
 
 
 # -- size bounds from closed forms ---------------------------------------------
