@@ -457,29 +457,33 @@ def presolve_clause(clause: tuple[Atom, ...]) -> list[Polynomial] | None:
     return rows
 
 
-def solve_int_clause(clause: tuple[Atom, ...]):
-    """Returns ('sat', model) | ('unsat', {}) | ('unknown', {}).
+def solve_clauses(clauses: list[tuple[Atom, ...]], search: bool = True):
+    """The first satisfiable clause's ``('sat', model)``; ``('unsat', {})``
+    if every clause is refuted, else ``('unknown', {})``.
 
     After :func:`presolve_clause`, a clause of linear rows is refuted by the
     exact simplex or its rational point rounded; otherwise, or if rounding
-    fails, a bounded integer search looks for a model.
-    """
-    rows = presolve_clause(clause)
-    if rows is None:
-        return "unsat", {}
-    if not rows:
-        return "sat", {}
-
-    if all(poly.degree() <= 1 for poly in rows):
-        status, point = solve_lp([LinearConstraint.from_poly(poly, ">=") for poly in rows])
-        if status == "unsat":
-            return "unsat", {}
-        model = _integer_hunt(rows, point)
-    else:
-        model = _integer_hunt(rows, {})
-    if model is not None:
-        return "sat", model
-    return "unknown", {}
+    fails, a bounded integer search looks for a model.  Without *search*,
+    None where the first clause not refuted needs either."""
+    saw_unknown = False
+    for clause in clauses:
+        rows = presolve_clause(clause)
+        if rows is None:
+            continue
+        if not rows:
+            return "sat", {}
+        if not search:
+            return None
+        hint: dict[str, Fraction] = {}
+        if all(poly.degree() <= 1 for poly in rows):
+            status, hint = solve_lp([LinearConstraint.from_poly(poly, ">=") for poly in rows])
+            if status == "unsat":
+                continue
+        model = _integer_hunt(rows, hint)
+        if model is not None:
+            return "sat", model
+        saw_unknown = True
+    return ("unknown" if saw_unknown else "unsat"), {}
 
 
 def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
@@ -642,23 +646,12 @@ def _check(declared: dict[str, str], assertions: list):
             status, model = solve_lp(rows)
         else:
             f = mk_and([int_formula(a, declared) for a in assertions])
-            status, model = _solve_clauses(dnf(f, DNF_CAP))
+            status, model = solve_clauses(dnf(f, DNF_CAP))
     except (Unsupported, DnfCapExceeded, RecursionError):  # the last: nested too deep
         return "unknown", None
     if status != "sat":
         return status, None
     return "sat", {v: Fraction(model.get(v, 0)) for v in declared}
-
-
-def _solve_clauses(clauses: list[tuple[Atom, ...]]):
-    """The first satisfiable clause's model; unsat only if every clause is."""
-    saw_unknown = False
-    for clause in clauses:
-        status, model = solve_int_clause(clause)
-        if status == "sat":
-            return status, model
-        saw_unknown = saw_unknown or status == "unknown"
-    return ("unknown" if saw_unknown else "unsat"), {}
 
 
 def _print_value(value: Fraction, sort: str) -> str:

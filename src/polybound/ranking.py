@@ -17,14 +17,14 @@ Guard atoms are strict over the integers, so ``p > 0`` enters as
 coefficients of variables with non-linear updates are pinned to zero so the
 composed template stays affine.
 
-Every synthesized function is then proved from its templates alone: the
-exact simplex must refute each guard clause's rows joined with the negation
-of each implication, so a wrong encoding or solver model is caught.
+Every synthesized function keeps the model's multipliers as its certificate,
+checked by polynomial arithmetic alone against the templates (see
+:func:`validate_rf`), so a wrong encoding or solver model is caught.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import Bound, bound_of_poly, bsum, simplify
@@ -37,13 +37,12 @@ from .ir import (
     dnf,
 )
 from .ir.linear import LinearConstraint
-from .minismt import solve_lp
 from .smt import SmtContext
 
 
 class RankingValidationError(Exception):
-    """A synthesized ranking function violates one of its invariants at the
-    named point, or its composed template is not affine: a soundness bug."""
+    """A ranking function's multipliers do not certify one of its
+    invariants: a soundness bug."""
 
 
 @dataclass
@@ -51,6 +50,8 @@ class RankingFunction:
     coeffs: dict[str, dict[str, Fraction]]  # location -> var -> coefficient
     consts: dict[str, Fraction]
     decreasing: frozenset[str]  # transition ids counted (drop >= 1)
+    # (transition id, guard-clause index, check) -> one multiplier per row
+    multipliers: dict[tuple[str, int, str], tuple[Fraction, ...]] = field(default_factory=dict)
 
     def as_poly(self, loc: str) -> Polynomial:
         p = Polynomial.const(self.consts[loc])
@@ -97,9 +98,11 @@ def synthesize_lrf(
                     pinned.add(name)
                     constraints.append(LinearConstraint.make({name: Fraction(1)}, 0, "="))
 
+    mult_names: dict[tuple[str, int, str], list[str]] = {}
     mult_count = 0
 
     def implication(
+        key: tuple[str, int, str],
         clause: tuple[Atom, ...],
         target: dict[str, dict[str, Fraction]],
         target_const: dict[str, Fraction],
@@ -112,7 +115,7 @@ def synthesize_lrf(
         """
         nonlocal mult_count
         rows = _linear_rows(clause)
-        mults = [f"l!{mult_count + i}" for i in range(len(rows))]
+        mults = mult_names[key] = [f"l!{mult_count + i}" for i in range(len(rows))]
         mult_count += len(rows)
         constraints.extend(LinearConstraint.make({name: 1}, 0, ">=") for name in mults)
         for v in sorted(p.vars):
@@ -143,10 +146,11 @@ def synthesize_lrf(
                     per_var[v] = per_var.get(v, 0) - rhs.coefficient(((v, 1),))
                 target_const[name] = target_const.get(name, 0) - rhs.constant_term()
             target_const[c_const(t.tgt)] = target_const.get(c_const(t.tgt), 0) - 1
-            for clause in clauses:
-                implication(clause, target, target_const, -delta)
+            for i, clause in enumerate(clauses):
+                implication((t.tid, i, "drop"), clause, target, target_const, -delta)
                 if t.tid in decreasing_ids:
-                    implication(clause, source, {c_const(t.src): Fraction(1)}, Fraction(-1))
+                    implication((t.tid, i, "template value"), clause, source,
+                                {c_const(t.src): Fraction(1)}, Fraction(-1))
     except DnfCapExceeded:
         return None
 
@@ -160,7 +164,9 @@ def synthesize_lrf(
         for loc in locations
     }
     consts = {loc: result.model.get(c_const(loc), Fraction(0)) for loc in locations}
-    rf = RankingFunction(coeffs, consts, frozenset(decreasing_ids))
+    multipliers = {key: tuple(result.model[name] for name in names)
+                   for key, names in mult_names.items()}
+    rf = RankingFunction(coeffs, consts, frozenset(decreasing_ids), multipliers)
     validate_rf(p, rf, scope)
     return rf
 
@@ -172,30 +178,29 @@ def _linear_rows(clause: tuple[Atom, ...]) -> list[Polynomial]:
 
 
 def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> None:
-    """Prove the invariants at every real point of each guard clause's rows.
-
-    A violation means the certificate is wrong, which would make every bound
-    derived from it unsound, so this raises instead of degrading.
-    """
+    """Each implication's quantity, recomputed from the templates, less its
+    least value less its multipliers (one ``>= 0`` per row) times the guard
+    clause's rows must leave a constant ``>= 0``.  Anything else would make
+    every bound derived from *rf* unsound, so this raises, naming the rest."""
     template = {loc: rf.as_poly(loc) for loc in rf.consts}
     for t in scope:
         value = template[t.src]
-        drop = value - template[t.tgt].substitute(t.update)
-        if drop.degree() > 1:
-            raise RankingValidationError(f"{t.tid}: composed template drop {drop} is not affine")
         counted = t.tid in rf.decreasing
-        checks = [("drop", drop, 1 if counted else 0)]
+        checks = [("drop", value - template[t.tgt].substitute(t.update), 1 if counted else 0)]
         if counted:
             checks.append(("template value", value, 1))
-        for clause in dnf(t.guard):
-            rows = [LinearConstraint.from_poly(row, ">=") for row in _linear_rows(clause)]
+        for i, clause in enumerate(dnf(t.guard)):
+            rows = _linear_rows(clause)
             for what, quantity, least in checks:
-                status, point = solve_lp(rows + [LinearConstraint.from_poly(least - quantity, ">")])
-                if status != "unsat":
-                    at = {v: point.get(v, Fraction(0)) for v in p.vars}
+                lams = rf.multipliers.get((t.tid, i, what), ())
+                leftover = quantity - least
+                for lam, row in zip(lams, rows):
+                    leftover = leftover - row.scale(lam)
+                if (len(lams) != len(rows) or any(lam < 0 for lam in lams)
+                        or not leftover.is_const or leftover.const_value() < 0):
                     raise RankingValidationError(
-                        f"{t.tid}: {what} {quantity.evaluate(at)} below {least} at "
-                        + ", ".join(f"{v}={n}" for v, n in at.items())
+                        f"{t.tid}: {what} on clause {i} leaves {leftover} under multipliers "
+                        f"[{', '.join(map(str, lams))}] for {len(rows)} rows"
                     )
 
 

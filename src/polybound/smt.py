@@ -9,8 +9,8 @@ broken or missing solver can never make the analyzer unsound.
 Queries are first tried in-process by the bundled procedure's refutations:
 a linear system (ranking query) by the exact simplex
 (:func:`polybound.minismt.solve_lp`), an integer formula (termination query)
-clause by clause of its DNF by :func:`polybound.minismt.presolve_clause`,
-which runs no simplex and no search.  A refutation is a proof, so it answers
+clause by clause of its DNF by :func:`polybound.minismt.solve_clauses`
+without its simplex and search.  A refutation is a proof, so it answers
 ``unsat`` without a process, whatever the configured solver.  A formula whose
 first unrefuted clause those rules leave without rows answers ``sat`` at the
 all-zero state, as the bundled procedure does, also without a process.  Every
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .ir import And, Atom, DnfCapExceeded, Formula, dnf, formula_vars
 from .ir.linear import LinearConstraint
-from .minismt import DNF_CAP, parse_sexprs, presolve_clause, solve_lp
+from .minismt import DNF_CAP, parse_sexprs, solve_clauses, solve_lp
 
 
 class SolverNotFound(Exception):
@@ -350,11 +350,11 @@ class SmtContext:
         ``unsat`` if they refute every DNF clause (none at all, too), ``sat``
         at 0 if the first one they do not refute keeps no row; else None."""
         try:
-            clauses = dnf(f, DNF_CAP)
+            answer = solve_clauses(dnf(f, DNF_CAP), search=False)
         except DnfCapExceeded:
             return None
-        for clause in clauses:
-            rows = presolve_clause(clause)
-            if rows is not None:  # ``_decide`` sets every variable to 0
-                return None if rows else SmtResult("sat", reason="satisfied in-process")
+        if answer is None:
+            return None
+        if answer[0] == "sat":  # ``_decide`` sets every variable to 0
+            return SmtResult("sat", reason="satisfied in-process")
         return SmtResult("unsat", reason="refuted in-process")

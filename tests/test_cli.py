@@ -309,5 +309,5 @@ def test_wrong_solver_model_is_internal_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("POLYBOUND_SMT", str(stub))
     assert main(["analyze", fixture("countdown")]) == 4
     out, err = capsys.readouterr()
-    assert "internal error: t1: drop 0 below 1 at x=1" in err
+    assert "internal error: t1: drop on clause 0 leaves -1 under multipliers [0] for 1 rows" in err
     assert "Overall runtime bound" not in out

@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from polybound import ranking
+import polybound.smt
+from polybound import minismt, ranking
 from polybound.bounds import bound_eval
 from polybound.engine import AnalysisConfig, analyze
 from polybound.ir import dnf, entry_transitions, eval_formula, parse_program
@@ -170,32 +172,40 @@ def guard_state(p, t):
     return None
 
 
-def assert_rejected_at_a_witness(p, rf, scope):
-    """validate_rf raises, and the point its message names satisfies the
-    linear atoms of a guard clause and violates the named invariant by the
-    named amount."""
+CERTIFICATE_FAILURE = re.compile(
+    r"(\S+): (drop|template value) on clause (\d+) leaves (.*) under multipliers \[.*\] for \d+ rows"
+)
+
+
+def leftover(p, rf, tid, i, what):
+    """What the certificate of one implication leaves, recomputed here."""
+    t = p.transition(tid)
+    value = rf.as_poly(t.src)
+    counted = tid in rf.decreasing
+    if what == "drop":
+        rest = value - rf.as_poly(t.tgt).substitute(t.update) - (1 if counted else 0)
+    else:
+        assert what == "template value" and counted
+        rest = value - 1
+    atoms = [a for a in dnf(t.guard)[i] if a.poly.degree() <= 1]
+    for lam, atom in zip(rf.multipliers[(tid, i, what)], atoms):
+        rest = rest - (atom.poly - 1).scale(lam)
+    return rest
+
+
+def assert_rejected_with_its_leftover(p, rf, scope):
+    """validate_rf raises, and the leftover its message names is what this
+    test recomputes for the named implication, which it does not certify."""
     with pytest.raises(RankingValidationError) as info:
         validate_rf(p, rf, scope)
-    head, _, at = str(info.value).partition(" at ")
-    tid, _, claim = head.partition(": ")
-    what, amount, _, least = claim.rsplit(" ", 3)
-    witness = dict(part.split("=") for part in at.split(", "))
-    witness = {v: Fraction(witness[v]) for v in p.vars}
-    t = p.transition(tid)
-    assert any(
-        all(a.poly.evaluate(witness) >= 1 for a in clause if a.poly.degree() <= 1)
-        for clause in dnf(t.guard)
-    )
-    value = rf.as_poly(t.src).evaluate(witness)
-    if what == "drop":
-        post = {v: t.update[v].evaluate(witness) for v in p.vars}
-        value -= rf.as_poly(t.tgt).evaluate(post)
-    else:
-        assert what == "template value" and tid in rf.decreasing
-    assert value == Fraction(amount) < int(least)
+    tid, what, i, named = CERTIFICATE_FAILURE.fullmatch(str(info.value)).groups()
+    rest = leftover(p, rf, tid, int(i), what)
+    assert named == str(rest)
+    lams = rf.multipliers[(tid, int(i), what)]
+    assert not rest.is_const or rest.const_value() < 0 or min(lams, default=0) < 0
 
 
-def test_mutated_rfs_are_rejected_with_a_witness(fixture_rfs):
+def test_mutated_rfs_are_rejected_with_their_leftover(fixture_rfs):
     mutated = 0
     for p, rf, scope in fixture_rfs:
         for t in scope:
@@ -205,12 +215,42 @@ def test_mutated_rfs_are_rejected_with_a_witness(fixture_rfs):
             # value 0 where t fires
             consts = dict(rf.consts)
             consts[t.src] -= rf.as_poly(t.src).evaluate(state)
-            assert_rejected_at_a_witness(p, dataclasses.replace(rf, consts=consts), scope)
+            assert_rejected_with_its_leftover(p, dataclasses.replace(rf, consts=consts), scope)
             # negate the template's first nonzero coefficient at t's source
             var = next((v for v in p.vars if rf.coeffs[t.src][v]), None)
             if var is not None:
                 coeffs = {loc: dict(c) for loc, c in rf.coeffs.items()}
                 coeffs[t.src][var] = -coeffs[t.src][var]
-                assert_rejected_at_a_witness(p, dataclasses.replace(rf, coeffs=coeffs), scope)
+                assert_rejected_with_its_leftover(p, dataclasses.replace(rf, coeffs=coeffs), scope)
             mutated += 1
     assert mutated >= 5
+
+
+def test_perturbed_multipliers_are_rejected(fixture_rfs):
+    perturbed = 0
+    for p, rf, scope in fixture_rfs:
+        for (tid, i, what), lams in rf.multipliers.items():
+            rows = [a.poly - 1 for a in dnf(p.transition(tid).guard)[i] if a.poly.degree() <= 1]
+            for j, (lam, row) in enumerate(zip(lams, rows)):
+                if lam == 0 or row.is_const:
+                    continue
+                for changed in (-lam, 2 * lam):
+                    multipliers = dict(rf.multipliers)
+                    multipliers[(tid, i, what)] = lams[:j] + (changed,) + lams[j + 1:]
+                    with pytest.raises(RankingValidationError, match=f"^{tid}: {what} on clause {i} "):
+                        validate_rf(p, dataclasses.replace(rf, multipliers=multipliers), scope)
+                perturbed += 1
+    assert perturbed >= 5
+
+
+def test_validation_runs_no_lp(fixture_rfs, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_rf ran an LP")
+
+    # where it is defined, where the solver bridge calls it, and in case
+    # validation imported it by name
+    monkeypatch.setattr(minismt, "solve_lp", forbidden)
+    monkeypatch.setattr(polybound.smt, "solve_lp", forbidden)
+    monkeypatch.setattr(ranking, "solve_lp", forbidden, raising=False)
+    for p, rf, scope in fixture_rfs:
+        validate_rf(p, rf, scope)

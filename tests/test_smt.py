@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polybound.ranking
 import polybound.smt
 from polybound import minismt
 from polybound.engine import AnalysisConfig, analyze
@@ -549,11 +548,10 @@ def test_simplex_matches_the_fraction_reference_on_fixture_systems(monkeypatch):
         return solve_lp(constraints, deadline)
 
     monkeypatch.setattr(polybound.smt, "solve_lp", recording)
-    monkeypatch.setattr(polybound.ranking, "solve_lp", recording)
     for name in FIXTURE_NAMES:
         analyze(load_fixture(name), AnalysisConfig(smt=SmtContext(solver=FALLBACK)))
-    # sat_real's refutations and validate_rf's checks, with both answers
-    assert len(asked) > 30
+    # sat_real's refutations, 16 of them, with both answers
+    assert len(asked) > 10
     assert {solve_lp(c)[0] for c in asked} == {"sat", "unsat"}
     for constraints in asked:
         assert same_answer(constraints), constraints
