@@ -16,6 +16,7 @@ import time
 from .bounds import bound_str, is_omega
 from .engine import AnalysisConfig, AnalysisResult, analyze
 from .ir import ParseError, Program, ProgramError, parse_program
+from .polyexp import ClosedFormTooLarge
 from .ranking import RankingValidationError
 from .sim import VALUE_BITS_CAP, exhaustive_run
 from .smt import SmtContext, SolverNotFound, resolve_solver
@@ -221,10 +222,10 @@ def _cmd_closed_form(args) -> int:
     t = program.transition(args.transition)
     try:
         loop = twn_check(t)
-    except TwnRejection as exc:
+        cf = closed_form(loop)
+    except (TwnRejection, ClosedFormTooLarge) as exc:
         print(f"not analyzable: {exc}", file=sys.stderr)
         return 2
-    cf = closed_form(loop)
     if len(loop.path) > 1:
         print("note: negative self-coefficients; closed form is for the doubled step",
               file=sys.stderr)

@@ -9,11 +9,14 @@ from .poly import Polynomial
 
 
 class LinearConstraint(_Value):
-    """``sum(coeffs[v] * v) + const REL 0`` with REL in {=, >=, >}."""
+    """``sum(coeffs[v] * v) + const REL 0`` with REL ``=`` or ``>=``: the
+    rows the ranking encoding builds and the bundled simplex solves."""
 
     __slots__ = ("coeffs", "const", "rel")
 
     def __init__(self, coeffs: tuple[tuple[str, Fraction], ...], const: Fraction, rel: str):
+        if rel not in ("=", ">="):
+            raise ValueError(f"unknown relation {rel!r}")
         self.coeffs, self.const, self.rel = coeffs, const, rel
 
     @staticmethod

@@ -7,16 +7,19 @@ solver is on the PATH it is preferred (see :mod:`polybound.smt`).  The
 analyzer's queries start it as :func:`polybound.smt.launch_command` builds
 it: isolated, without ``site``, calling :func:`main` on the parent's package.
 
-Accepted input: constants declared all Int or all Real, with polynomial
-terms built from ``+ - * /`` and numerals.
+Accepted input: exactly the two scripts :mod:`polybound.smt` writes.  Their
+``set-logic`` line picks the reader, and every constant is declared with
+that logic's sort.  Terms are integer numerals, declared constants, ``+``,
+``*``, unary ``-`` and ``/`` by a nonzero constant.
 
-- Int: every assertion is a boolean combination (``and or not true false``)
-  of the relations ``< <= > >= =``.  It is lowered to an
+- ``QF_NIA`` (:func:`polybound.smt.int_script`): every assertion is
+  ``(> t 0)`` atoms under ``and``/``or``.  It is read as an
   :mod:`polybound.ir` formula and expanded through :func:`polybound.ir.dnf`
   into at most ``DNF_CAP`` clauses.
-- Real: every assertion is a conjunction of affine relations, solved as one
-  system of :class:`polybound.ir.linear.LinearConstraint` rows by an exact,
-  fraction-free two-phase simplex.
+- ``QF_NRA`` (:func:`polybound.smt.real_script`): every assertion is one
+  affine row ``(= t 0)`` or ``(>= t 0)``.  The rows are solved as one
+  system of :class:`polybound.ir.linear.LinearConstraint` by an exact,
+  fraction-free simplex.
 
 It imports only the polynomial, formula and row modules of
 :mod:`polybound.ir`, so each query's process starts without the analyzer.
@@ -48,19 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _Value
-from .ir import (
-    FALSE,
-    TRUE,
-    Atom,
-    DnfCapExceeded,
-    Formula,
-    Polynomial,
-    dnf,
-    mk_and,
-    mk_or,
-    normalize_atom,
-)
-from .ir.formula import NEGATED_REL
+from .ir import Atom, DnfCapExceeded, Formula, Polynomial, dnf, mk_and, mk_or
 from .ir.linear import LinearConstraint
 
 DNF_CAP = 1024
@@ -131,18 +122,19 @@ class Unsupported(Exception):
     pass
 
 
-def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
+def term_to_poly(term, declared: set[str]) -> Polynomial:
+    """A term as :func:`polybound.smt.poly_to_sexpr` writes one: integer
+    numerals, declared constants, ``+``, ``*``, unary ``-`` and ``/`` by a
+    nonzero constant."""
     if isinstance(term, str):
         if term in declared:
             return Polynomial.var(term)
-        try:
-            return Polynomial.const(int(term))
-        except ValueError:
-            pass
-        try:
-            return Polynomial.const(Fraction(term))
-        except (ValueError, ZeroDivisionError):
-            raise Unsupported(f"unknown symbol {term}")
+        if term.isascii() and term.isdigit():
+            try:
+                return Polynomial.const(int(term))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                pass
+        raise Unsupported(f"unknown symbol {term}")
     if not term:
         raise Unsupported("empty term")
     head = term[0]
@@ -152,13 +144,8 @@ def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
         for a in args:
             result = result + term_to_poly(a, declared)
         return result
-    if head == "-" and args:
-        if len(args) == 1:
-            return -term_to_poly(args[0], declared)
-        result = term_to_poly(args[0], declared)
-        for a in args[1:]:
-            result = result - term_to_poly(a, declared)
-        return result
+    if head == "-" and len(args) == 1:
+        return -term_to_poly(args[0], declared)
     if head == "*":
         result = Polynomial.one()
         for a in args:
@@ -175,60 +162,39 @@ def term_to_poly(term, declared: dict[str, str]) -> Polynomial:
 
 # -- assertions to the analyzer's formulas and rows ----------------------------
 
-RELATIONS = ("<", "<=", ">", ">=", "=")
+
+def _compared(term, relations: tuple[str, ...], declared) -> tuple[str, Polynomial]:
+    """``(REL t 0)``, with REL one of *relations*, as ``(REL, t)``."""
+    if not (isinstance(term, list) and len(term) == 3 and term[0] in relations
+            and term[2] == "0"):
+        raise Unsupported("not a relation with 0")
+    return term[0], term_to_poly(term[1], declared)
 
 
-def _relation(term, declared) -> tuple[str, Polynomial]:
-    """``(REL a b)`` as ``(REL, a - b)``; the relation compares with 0."""
-    if len(term) != 3:
-        raise Unsupported(f"{term[0]} with {len(term) - 1} arguments")
-    return term[0], term_to_poly(term[1], declared) - term_to_poly(term[2], declared)
+def int_formula(term, declared) -> Formula:
+    """An Int assertion, ``(> t 0)`` atoms under ``and``/``or``, as an
+    :mod:`polybound.ir` formula; each ``Atom`` clears its denominators."""
+    if isinstance(term, list) and term and term[0] in ("and", "or"):
+        children = [int_formula(a, declared) for a in term[1:]]
+        return mk_and(children) if term[0] == "and" else mk_or(children)
+    return Atom(_compared(term, (">",), declared)[1])
 
 
-def int_formula(term, declared, negate: bool = False) -> Formula:
-    """An Int assertion as an :mod:`polybound.ir` formula."""
-    if term in ("true", "false"):
-        return TRUE if (term == "true") != negate else FALSE
-    if isinstance(term, str):
-        raise Unsupported(f"boolean symbol {term}")
-    if not term:
-        raise Unsupported("empty assertion")
-    head = term[0]
-    if head == "not" and len(term) == 2:
-        return int_formula(term[1], declared, not negate)
-    if head in ("and", "or"):
-        children = [int_formula(a, declared, negate) for a in term[1:]]
-        return mk_and(children) if (head == "and") != negate else mk_or(children)
-    if head in RELATIONS:
-        rel, diff = _relation(term, declared)
-        # normalize_atom's translations are exact for integer coefficients
-        diff = diff.scale(diff.denominator_lcm())
-        rel = NEGATED_REL[rel] if negate else rel
-        return normalize_atom(diff, rel, Polynomial.zero())
-    raise Unsupported(f"connective {head}")
-
-
-def real_rows(term, declared) -> list[LinearConstraint]:
-    """A Real assertion, a conjunction of affine relations, as LP rows."""
-    if isinstance(term, list) and term and term[0] == "and":
-        return [row for a in term[1:] for row in real_rows(a, declared)]
-    if not isinstance(term, list) or not term or term[0] not in RELATIONS:
-        raise Unsupported(f"real assertion {term}")
-    rel, diff = _relation(term, declared)
-    if rel in ("<", "<="):
-        rel, diff = {"<": ">", "<=": ">="}[rel], -diff
-    if diff.degree() > 1:
+def real_row(term, declared) -> LinearConstraint:
+    """A Real assertion, one affine ``(= t 0)`` or ``(>= t 0)``, as an LP row."""
+    rel, poly = _compared(term, ("=", ">="), declared)
+    if poly.degree() > 1:
         raise Unsupported("non-linear real term")
-    return [LinearConstraint.from_poly(diff, rel)]
+    return LinearConstraint.from_poly(poly, rel)
 
 
-# -- exact two-phase simplex ---------------------------------------------------
+# -- exact simplex ---------------------------------------------------------------
 #
-# Feasibility over the rationals.  Free variables are translated as
-# x_i = p_i - u with one shared nonnegative shift u; strict inequalities get a
-# jointly maximized slack eps in (0, 1].  The arithmetic is exact but
-# fraction-free: a tableau row is a sparse ``column -> int`` dict holding no
-# zeros, over one positive denominator, and the right-hand side is stored
+# Feasibility over the rationals, decided by the first phase of the simplex
+# alone: its point is the answer.  Free variables are translated as
+# x_i = p_i - u with one shared nonnegative shift u.  The arithmetic is exact
+# but fraction-free: a tableau row is a sparse ``column -> int`` dict holding
+# no zeros, over one positive denominator, and the right-hand side is stored
 # under the column RHS.  Rows are reduced by the gcd of their entries after
 # every update, so Fractions are built only for the returned point.
 
@@ -245,11 +211,10 @@ class _Row(_Value):
 
 
 def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None):
-    """Feasibility of ``sum coeffs + const REL 0`` rows, REL in =, >=, >.
+    """Feasibility of ``sum coeffs + const REL 0`` rows, REL ``=`` or ``>=``.
 
     Returns (status, point) with status 'sat' or 'unsat'; point maps variable
-    names to Fractions, plus ``eps!``, the maximized slack of the '>' rows,
-    when there are any.  Raises ``TimeoutError`` if a pivot is due after
+    names to Fractions.  Raises ``TimeoutError`` if a pivot is due after
     *deadline*, a :func:`time.monotonic` instant.
     """
     cols: dict[str, int] = {}
@@ -257,9 +222,6 @@ def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None)
     def col(name: str) -> int:
         return cols.setdefault(name, len(cols))
 
-    has_strict = any(c.rel == ">" for c in constraints)
-    if has_strict:
-        eps_col = col("eps!")
     # each row times the lcm of its constraint's denominators, and that lcm
     geq_rows: list[tuple[dict[int, int], int]] = []
     eq_rows: list[tuple[dict[int, int], int]] = []
@@ -271,11 +233,7 @@ def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None)
             pc, uc = col("p!" + var), col("u!")
             row[pc] = row.get(pc, 0) + n
             row[uc] = row.get(uc, 0) - n
-        if c.rel == ">":
-            row[eps_col] = -scale
         (eq_rows if c.rel == "=" else geq_rows).append((row, scale))
-    if has_strict:
-        geq_rows.append(({eps_col: -1, RHS: -1}, 1))  # eps <= 1
 
     # slack columns for >= rows (lhs - slack = rhs), then one artificial per row
     slack_base = len(cols)
@@ -288,62 +246,36 @@ def solve_lp(constraints: list[LinearConstraint], deadline: float | None = None)
         row = {j: sign * v for j, v in row.items() if v}
         row[art_base + i] = scale
         tableau.append(_Row(row, scale))
-    nrows = len(tableau)
-    basis = [art_base + i for i in range(nrows)]
+    basis = [art_base + i for i in range(len(tableau))]
 
-    # phase 1: maximize -sum(artificials); the objective row holds reduced costs
+    # maximize -sum(artificials); the objective row holds reduced costs
     obj = _Row({j: 1 for j in basis})
     for i, row in enumerate(tableau):
         _eliminate(obj, row, art_base + i)
-    _simplex(tableau, basis, obj, art_base + nrows, deadline)
+    _simplex(tableau, basis, obj, deadline)
     if obj.num.get(RHS):  # the objective's rhs tracks -sum(artificials)
         return "unsat", {}
 
-    # drive basic artificials out or drop redundant rows
-    keep = []
-    for i, row in enumerate(tableau):
-        if basis[i] >= art_base:
-            pivot_col = min((j for j in row.num if 0 <= j < art_base), default=None)
-            if pivot_col is None:
-                continue  # redundant row
-            _pivot(tableau, basis, i, pivot_col)
-        keep.append(i)
-    tableau = [tableau[i] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    if has_strict:
-        obj = _Row({eps_col: -1})  # maximize eps
-        for i, b in enumerate(basis):
-            if b in obj.num:
-                _eliminate(obj, tableau[i], b)
-        _simplex(tableau, basis, obj, art_base, deadline)
-
     value = {b: Fraction(row.num.get(RHS, 0), row.den) for b, row in zip(basis, tableau)}
     shift = value.get(cols.get("u!"), Fraction(0))
-    point = {
+    return "sat", {
         name[2:]: value.get(c, Fraction(0)) - shift
         for name, c in cols.items()
         if name.startswith("p!")
     }
-    if has_strict:
-        eps = value.get(eps_col, Fraction(0))
-        if eps <= 0:
-            return "unsat", {}
-        point["eps!"] = eps
-    return "sat", point
 
 
-def _simplex(tableau, basis, obj, limit_col, deadline):
+def _simplex(tableau, basis, obj, deadline):
     """Bland's rule; pivots until no objective column below zero remains.
 
     The entering column is the lowest one with a negative reduced cost; ties
     in the ratio test go to the row whose basic column is lowest.  A row's
     ratio ``rhs / coeff`` is the quotient of its numerators, so ratios are
-    compared cross-multiplied.
+    compared cross-multiplied.  The objective, ``-sum(artificials)``, is
+    bounded by 0, so an entering column always has a row to leave.
     """
     while True:
-        entering = min((j for j, v in obj.num.items() if 0 <= j < limit_col and v < 0),
-                       default=None)
+        entering = min((j for j, v in obj.num.items() if j != RHS and v < 0), default=None)
         if entering is None:
             return
         best_i = None
@@ -354,8 +286,6 @@ def _simplex(tableau, basis, obj, limit_col, deadline):
                 if best_i is None or ((rhs * best_coeff, basis[i])
                                       < (best_rhs * coeff, basis[best_i])):
                     best_i, best_rhs, best_coeff = i, rhs, coeff
-        if best_i is None:
-            return  # unbounded; caller reads the current point
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("simplex past its deadline")
         _pivot(tableau, basis, best_i, entering)
@@ -563,15 +493,17 @@ def _holds(row: list[tuple[int, tuple]], state: dict[str, int]) -> bool:
 # -- driver ---------------------------------------------------------------------
 
 
-# arguments of the commands that declare or assert
-ARITY = {"declare-const": 2, "declare-fun": 3, "assert": 1}
+# the logic each of polybound.smt's scripts sets, and its constants' sort
+LOGICS = {"QF_NIA": "Int", "QF_NRA": "Real"}
+# the commands those scripts hold, and their numbers of arguments
+ARITY = {"set-logic": 1, "declare-const": 2, "assert": 1, "check-sat": 0, "get-model": 0}
 
 
 def run(script: str, out) -> None:
     """Answers each ``check-sat`` of *script* on *out*.
 
-    A script that does not parse answers ``unknown``; so does a malformed
-    command, after which nothing more is answered.
+    A script that does not parse answers ``unknown``; so does a command
+    outside the scripts' dialect, after which nothing more is answered.
     """
     try:
         commands = parse_sexprs(script)
@@ -585,65 +517,43 @@ def run(script: str, out) -> None:
 
 
 def _execute(commands: list, out) -> None:
-    declared: dict[str, str] = {}
+    sort = None  # of the constants, by the script's logic
+    declared: set[str] = set()
     assertions: list = []
-    answered_sat: dict[str, Fraction] | None = None
-    last_status = "unknown"
+    model: dict[str, Fraction] | None = None  # of the last check-sat, if sat
 
     for cmd in commands:
-        if not isinstance(cmd, list) or not cmd or not isinstance(cmd[0], str):
-            continue
+        if not (isinstance(cmd, list) and cmd and isinstance(cmd[0], str)
+                and len(cmd) == ARITY.get(cmd[0], -1) + 1):
+            raise Unsupported("command outside the dialect")
         head = cmd[0]
-        if head in ("set-logic", "set-option", "set-info"):
-            continue
-        if head in ARITY and len(cmd) != ARITY[head] + 1:
-            raise Unsupported(f"{head} with {len(cmd) - 1} arguments")
-        if head == "declare-const":
-            _declare(declared, cmd[1], cmd[2])
-            continue
-        if head == "declare-fun":
-            if cmd[2] == []:  # only 0-ary functions are constants
-                _declare(declared, cmd[1], cmd[3])
-            continue
-        if head == "assert":
+        if head == "set-logic":
+            sort = LOGICS.get(cmd[1]) if isinstance(cmd[1], str) else None
+        elif head == "declare-const":
+            if sort is None or not isinstance(cmd[1], str) or cmd[2] != sort:
+                raise Unsupported("declaration outside the logic")
+            declared.add(cmd[1])
+        elif head == "assert":
             assertions.append(cmd[1])
-            continue
-        if head == "check-sat":
-            last_status, answered_sat = _check(declared, assertions)
-            print(last_status, file=out)
-            continue
-        if head == "get-model":
-            if last_status == "sat" and answered_sat is not None:
-                print("(", file=out)
-                for name in sorted(declared):
-                    sort = declared[name]
-                    value = answered_sat.get(name, Fraction(0))
-                    print(
-                        f"  (define-fun {name} () {sort} {_print_value(value, sort)})",
-                        file=out,
-                    )
-                print(")", file=out)
-            else:
-                print("(error \"no model\")", file=out)
-            continue
-        if head == "exit":
-            break
+        elif head == "check-sat":
+            if sort is None:
+                raise Unsupported("no logic set")
+            status, model = _check(sort, declared, assertions)
+            print(status, file=out)
+        elif model is None:  # get-model
+            print("(error \"no model\")", file=out)
+        else:
+            print("(", file=out)
+            for name in sorted(declared):
+                value = _print_value(model.get(name, Fraction(0)), sort)
+                print(f"  (define-fun {name} () {sort} {value})", file=out)
+            print(")", file=out)
 
 
-def _declare(declared: dict[str, str], name, sort) -> None:
-    if not isinstance(name, str) or not isinstance(sort, str):
-        raise Unsupported(f"declaration of {name} as {sort}")
-    declared[name] = sort
-
-
-def _check(declared: dict[str, str], assertions: list):
-    sorts = set(declared.values())
-    if sorts - {"Int", "Real"} or len(sorts) > 1:
-        return "unknown", None
+def _check(sort: str, declared: set[str], assertions: list):
     try:
-        if sorts == {"Real"}:
-            rows = [row for a in assertions for row in real_rows(a, declared)]
-            status, model = solve_lp(rows)
+        if sort == "Real":
+            status, model = solve_lp([real_row(a, declared) for a in assertions])
         else:
             f = mk_and([int_formula(a, declared) for a in assertions])
             status, model = solve_clauses(dnf(f, DNF_CAP))

@@ -46,7 +46,9 @@ from .ir import (
     mk_or,
     normalize_atom,
 )
-from .polyexp import PolyExp, pe_eval, pe_normalize_integer, pe_substitute, pe_values
+from .polyexp import (
+    ClosedFormTooLarge, PolyExp, pe_eval, pe_normalize_integer, pe_substitute, pe_values,
+)
 from .smt import SmtContext
 from .twn import ClosedForm, TwnLoop, TwnRejection, closed_form, compose, iterates, twn_check
 
@@ -275,12 +277,14 @@ def analyze_self_loop(
         loop = twn_check(t)
     except TwnRejection as exc:
         return Unsupported(str(exc))
-    cf = closed_form(loop)
-    verdict = prove_termination(loop, cf, smt)
-    if not verdict.is_terminating:
-        return TwnAnalysis(loop, cf, verdict, None, None)
     try:
+        cf = closed_form(loop)
+        verdict = prove_termination(loop, cf, smt)
+        if not verdict.is_terminating:
+            return TwnAnalysis(loop, cf, verdict, None, None)
         iteration_bound = stabilization_bound(loop, cf)
+    except ClosedFormTooLarge as exc:
+        return Unsupported(f"closed form too large: {exc}")
     except CapExceeded as exc:
         return Unsupported(f"threshold search cap exceeded: {exc}")
     k = len(loop.path)

@@ -61,13 +61,14 @@ def benchmark_jobs(workload: str, seed: int) -> list:
     return perfbench_module("workloads").WORKLOADS[workload](seed)
 
 
-def run_python(args: list[str], stdin: str = "", cwd=None) -> subprocess.CompletedProcess:
+def run_python(args: list[str], stdin: str = "", cwd=None,
+               timeout: float = 120) -> subprocess.CompletedProcess:
     """``python ARGS`` in a fresh interpreter that imports this checkout."""
     paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, text=True,
-        env=env, cwd=cwd, timeout=120,
+        env=env, cwd=cwd, timeout=timeout,
     )
 
 
@@ -211,11 +212,10 @@ def reference_solve_lp(constraints: list[LinearConstraint], deadline: float | No
     """:func:`polybound.minismt.solve_lp` as it was with a ``Fraction`` tableau:
     the oracle its fraction-free tableau must match pivot for pivot.
 
-    Feasibility of ``sum coeffs + const REL 0`` rows, REL in =, >=, >.
+    Feasibility of ``sum coeffs + const REL 0`` rows, REL ``=`` or ``>=``.
 
     Returns (status, point) with status 'sat' or 'unsat'; point maps variable
-    names to Fractions, plus ``eps!``, the maximized slack of the '>' rows,
-    when there are any.  Raises ``TimeoutError`` if a pivot is due after
+    names to Fractions.  Raises ``TimeoutError`` if a pivot is due after
     *deadline*, a :func:`time.monotonic` instant.
     """
     cols: dict[str, int] = {}
@@ -223,9 +223,6 @@ def reference_solve_lp(constraints: list[LinearConstraint], deadline: float | No
     def col(name: str) -> int:
         return cols.setdefault(name, len(cols))
 
-    has_strict = any(c.rel == ">" for c in constraints)
-    if has_strict:
-        eps_col = col("eps!")
     geq_rows: list[dict[int, Fraction]] = []
     eq_rows: list[dict[int, Fraction]] = []
     for c in constraints:
@@ -234,11 +231,7 @@ def reference_solve_lp(constraints: list[LinearConstraint], deadline: float | No
             pc, uc = col("p!" + var), col("u!")
             row[pc] = row.get(pc, 0) + k
             row[uc] = row.get(uc, 0) - k
-        if c.rel == ">":
-            row[eps_col] = Fraction(-1)
         (eq_rows if c.rel == "=" else geq_rows).append(row)
-    if has_strict:
-        geq_rows.append({eps_col: Fraction(-1), RHS: Fraction(-1)})  # eps <= 1
 
     # slack columns for >= rows (lhs - slack = rhs), then one artificial per row
     slack_base = len(cols)
@@ -251,60 +244,33 @@ def reference_solve_lp(constraints: list[LinearConstraint], deadline: float | No
         row = {j: sign * v for j, v in row.items() if v}
         row[art_base + i] = Fraction(1)
         tableau.append(row)
-    nrows = len(tableau)
-    basis = [art_base + i for i in range(nrows)]
+    basis = [art_base + i for i in range(len(tableau))]
 
-    # phase 1: maximize -sum(artificials); the objective row holds reduced costs
+    # maximize -sum(artificials); the objective row holds reduced costs
     obj: dict[int, Fraction] = {j: Fraction(1) for j in basis}
     for row in tableau:
         _reference_eliminate(obj, Fraction(1), row)
-    _reference_simplex(tableau, basis, obj, art_base + nrows, deadline)
+    _reference_simplex(tableau, basis, obj, deadline)
     if obj.get(RHS):  # the objective's rhs tracks -sum(artificials)
         return "unsat", {}
 
-    # drive basic artificials out or drop redundant rows
-    keep = []
-    for i, row in enumerate(tableau):
-        if basis[i] >= art_base:
-            pivot_col = min((j for j in row if 0 <= j < art_base), default=None)
-            if pivot_col is None:
-                continue  # redundant row
-            _reference_pivot(tableau, basis, i, pivot_col)
-        keep.append(i)
-    tableau = [tableau[i] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    if has_strict:
-        obj = {eps_col: Fraction(-1)}  # maximize eps
-        for i, b in enumerate(basis):
-            if b in obj:
-                _reference_eliminate(obj, obj[b], tableau[i])
-        _reference_simplex(tableau, basis, obj, art_base, deadline)
-
     value = {b: tableau[i].get(RHS, Fraction(0)) for i, b in enumerate(basis)}
     shift = value.get(cols.get("u!"), Fraction(0))
-    point = {
+    return "sat", {
         name[2:]: value.get(c, Fraction(0)) - shift
         for name, c in cols.items()
         if name.startswith("p!")
     }
-    if has_strict:
-        eps = value.get(eps_col, Fraction(0))
-        if eps <= 0:
-            return "unsat", {}
-        point["eps!"] = eps
-    return "sat", point
 
 
-def _reference_simplex(tableau, basis, obj, limit_col, deadline):
+def _reference_simplex(tableau, basis, obj, deadline):
     """Bland's rule; pivots until no objective column below zero remains.
 
     The entering column is the lowest one with a negative reduced cost; ties
     in the ratio test go to the row whose basic column is lowest.
     """
     while True:
-        entering = min((j for j, v in obj.items() if 0 <= j < limit_col and v < 0),
-                       default=None)
+        entering = min((j for j, v in obj.items() if j != RHS and v < 0), default=None)
         if entering is None:
             return
         best_i = None
@@ -320,8 +286,6 @@ def _reference_simplex(tableau, basis, obj, limit_col, deadline):
                 ):
                     best_ratio = ratio
                     best_i = i
-        if best_i is None:
-            return  # unbounded; caller reads the current point
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("simplex past its deadline")
         _reference_pivot(tableau, basis, best_i, entering)

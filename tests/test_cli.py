@@ -100,6 +100,26 @@ def test_closed_form_rejects_non_self_loop(capsys):
     assert "not analyzable" in capsys.readouterr().err
 
 
+# Its closed form has products of up to 44,100 terms, past the cap: without
+# the cap, building it took 6.5 s and the whole analysis did not end.  Under
+# caps/, because the soundness test's exhaustive runs of every tests/data
+# program would take seconds to check an ω.
+BLOWUP = str(Path(__file__).resolve().parent / "data" / "caps" / "closed_form_blowup.its")
+PAST_THE_CAP = "product of up to 44100 terms, above the cap of 30000"
+
+
+def test_closed_form_past_its_cap_is_omega():
+    proc = run_python(["-m", "polybound.cli", "analyze", BLOWUP], timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Overall runtime bound: ω" in proc.stdout
+    assert f"Loop t1: unsupported (closed form too large: {PAST_THE_CAP})" in proc.stdout
+
+
+def test_closed_form_command_past_the_cap_is_not_analyzable(capsys):
+    assert main(["closed-form", BLOWUP, "--transition", "t1"]) == 2
+    assert capsys.readouterr().err == f"not analyzable: {PAST_THE_CAP}\n"
+
+
 def test_unknown_transition_is_input_error(capsys):
     assert main(["closed-form", fixture("nested"), "--transition", "t9"]) == 3
 

@@ -44,8 +44,8 @@ def test_bundled_solver_process_loads_only_what_it_uses():
     # from interpreter start-up on
     command = launch_command(BUNDLED)
     proc = subprocess.run(
-        [command[0], "-v", *command[1:]], input="(declare-const x Int)\n"
-        "(assert (> x 2))\n(check-sat)\n", capture_output=True, text=True, timeout=120,
+        [command[0], "-v", *command[1:]], input="(set-logic QF_NIA)\n"
+        "(declare-const x Int)\n(assert (> (+ x (- 2)) 0))\n(check-sat)\n", capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "sat\n"), proc.stderr
     loaded = re.findall(r"^import '([^']+)'", proc.stderr, re.MULTILINE)

@@ -255,3 +255,12 @@ def test_power_squares_only_while_exponent_bits_remain(
     degrees.clear()
     power(wrap(x1 + x2 + x3), 40)
     assert max(degrees) == 40
+
+
+def test_product_past_the_cap_raises(monkeypatch):
+    monkeypatch.setattr(polyexp, "MAX_PRODUCT_TERMS", 4)
+    x, y = Polynomial.var("x"), Polynomial.var("y")
+    two = pe_of_poly(x + 1)
+    assert pe_mul(two, two) == pe_of_poly((x + 1) * (x + 1))
+    with pytest.raises(polyexp.ClosedFormTooLarge, match="up to 6 terms, above the cap of 4"):
+        pe_mul(two, pe_of_poly(x + y + 1))

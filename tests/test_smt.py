@@ -458,13 +458,10 @@ def test_simplex_feasible_point_satisfies_rows():
     assert a + b >= 2 and a <= 5 and b <= 0
 
 
-def test_simplex_strict_boundary_is_unsat():
-    constraints = [
-        LinearConstraint.make({"a": 1}, 0, ">"),  # a > 0
-        LinearConstraint.make({"a": -1}, 0, ">="),  # a <= 0
-    ]
-    status, _ = solve_lp(constraints)
-    assert status == "unsat"
+def test_a_strict_row_cannot_be_built():
+    # the simplex solves = and >= rows only, so a > row never passes as >=
+    with pytest.raises(ValueError, match="unknown relation '>'"):
+        LinearConstraint.make({"a": 1}, 0, ">")
 
 
 def test_simplex_negative_solutions_reachable():
@@ -477,15 +474,15 @@ def test_simplex_negative_solutions_reachable():
 
 
 def test_simplex_ratio_ties_go_to_the_lowest_basic_column():
-    # the point is one of several optimal eps vertices; ties broken toward the
-    # highest basic column instead would end at a = 4, b = 3
+    # the point is one of several feasible vertices; ties broken toward the
+    # highest basic column instead would end at a = 0, b = 2
     constraints = [
-        LinearConstraint.make({"a": -1, "b": 2}, -2, ">="),
-        LinearConstraint.make({"a": 2, "b": -3}, 3, ">"),
-        LinearConstraint.make({"a": 3, "b": -2}, 0, ">"),
-        LinearConstraint.make({"a": 1, "b": -1}, 0, ">"),
+        LinearConstraint.make({"a": 3, "b": 2}, -4, ">="),
+        LinearConstraint.make({"b": 2}, 0, ">="),
+        LinearConstraint.make({"a": 1}, 0, ">="),
+        LinearConstraint.make({"a": 2, "b": 2}, 0, ">="),
     ]
-    assert solve_lp(constraints) == ("sat", {"a": 5, "b": 4, "eps!": 1})
+    assert solve_lp(constraints) == ("sat", {"a": Fraction(4, 3), "b": 0})
 
 
 def test_simplex_past_its_deadline_raises_before_pivoting():
@@ -503,27 +500,27 @@ CONSTANTS = st.one_of(st.just(Fraction(0)), SMALL_FRACTIONS)
 
 @st.composite
 def lp_systems(draw) -> list[LinearConstraint]:
-    """1-4 variables and 1-8 rows of =, >= and >; after the first row, a row
+    """1-4 variables and 1-8 rows of = and >=; after the first row, a row
     may repeat an earlier one scaled and loosened (redundant) or negate it
-    (infeasible: ``k*p + delta < 0`` against ``p >= 0``)."""
+    (infeasible: ``k*p + delta <= 0``, ``delta > 0``, against ``p >= 0``)."""
     names = ["a", "b", "c", "d"][: draw(st.integers(1, 4))]
     rows: list[LinearConstraint] = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(["fresh", "fresh", "redundant", "infeasible"]))
         if kind == "fresh" or not rows:
             coeffs = {v: draw(SMALL_FRACTIONS) for v in names}
-            rel = draw(st.sampled_from(["=", ">=", ">"]))
+            rel = draw(st.sampled_from(["=", ">="]))
             rows.append(LinearConstraint.make(coeffs, draw(CONSTANTS), rel))
             continue
         base, k = draw(st.sampled_from(rows)), draw(POSITIVE_FRACTIONS)
-        delta = draw(SMALL_FRACTIONS.map(abs))
         if kind == "redundant":
-            rel = base.rel if base.rel == "=" else ">="
-            const = k * base.const + (0 if rel == "=" else delta)
-            rows.append(LinearConstraint.make({v: k * c for v, c in base.coeffs}, const, rel))
+            delta = 0 if base.rel == "=" else draw(SMALL_FRACTIONS.map(abs))
+            const = k * base.const + delta
+            rows.append(LinearConstraint.make({v: k * c for v, c in base.coeffs}, const,
+                                              base.rel))
         else:
-            const = -k * base.const - delta
-            rows.append(LinearConstraint.make({v: -k * c for v, c in base.coeffs}, const, ">"))
+            const = -k * base.const - draw(POSITIVE_FRACTIONS)
+            rows.append(LinearConstraint.make({v: -k * c for v, c in base.coeffs}, const, ">="))
     return rows
 
 
@@ -557,30 +554,46 @@ def test_simplex_matches_the_fraction_reference_on_fixture_systems(monkeypatch):
         assert same_answer(constraints), constraints
 
 
-# -- inputs the bundled solver accepts beyond what the analyzer emits ---------------
+# -- the bundled solver reads exactly what the analyzer writes ----------------------
+
+
+def read_back(script: str, read) -> list:
+    """The assertions of ``script``, read by ``read`` over its declared names."""
+    commands = parse_sexprs(script)
+    declared = {cmd[1] for cmd in commands if cmd[0] == "declare-const"}
+    return [read(cmd[1], declared) for cmd in commands if cmd[0] == "assert"]
+
+
+@settings(max_examples=200)
+@given(int_formulas())
+def test_int_script_reads_back_as_its_formula(f):
+    assert read_back(int_script(f), minismt.int_formula) == [f]
+
+
+@settings(max_examples=200)
+@given(lp_systems())
+def test_real_script_reads_back_as_its_rows(rows):
+    assert read_back(real_script(rows), minismt.real_row) == rows
+
+
+def test_real_script_without_constants_is_read_as_real():
+    # no declaration names the sort, so only the logic line can
+    ctx = SmtContext(solver=FALLBACK)
+    assert ctx.sat_real([LinearConstraint.make({}, 5, ">=")]).is_sat
+    assert ctx.decided == 1  # feasible, so the child answered
+
+
+LOGICS = {"Int": "QF_NIA", "Real": "QF_NRA"}
 
 
 def bundled(*assertions: str, names: str = "x y", sort: str = "Int") -> list[str]:
     """The bundled solver's reply lines to a script declaring ``names``."""
-    script = "".join(f"(declare-const {v} {sort})\n" for v in names.split())
+    script = f"(set-logic {LOGICS[sort]})\n"
+    script += "".join(f"(declare-const {v} {sort})\n" for v in names.split())
     script += "".join(f"(assert {a})\n" for a in assertions)
     out = io.StringIO()
     minismt.run(script + "(check-sat)\n(get-model)\n", out)
     return out.getvalue().splitlines()
-
-
-def bundled_model(*assertions: str, sort: str = "Int") -> dict[str, Fraction]:
-    lines = bundled(*assertions, sort=sort)
-    assert lines[0] == "sat"
-    return parse_model(parse_sexprs("\n".join(lines[1:])))
-
-
-def test_bundled_int_negated_relation():
-    assert bundled_model("(not (<= x 3))")["x"] == 4
-
-
-def test_bundled_int_equality():
-    assert bundled_model("(= x 2)")["x"] == 2
 
 
 def test_integer_search_rejects_a_fractional_row():
@@ -589,37 +602,56 @@ def test_integer_search_rejects_a_fractional_row():
         minismt._integer_hunt([x.scale(Fraction(1, 2)) - 1], {})
 
 
-def test_bundled_int_false_is_unsat():
-    assert bundled("false")[0] == "unsat"
-
-
 def test_bundled_int_disjunction_has_model():
-    model = bundled_model("(or (> x 5) (< y (- 7)))", "(>= x y)")
-    assert (model["x"] > 5 or model["y"] < -7) and model["x"] >= model["y"]
+    f = mk_and([mk_or([Atom(x - 5), Atom(-y - 8)]), Atom(x - y + 1)])
+    result = procedure_reply(int_script(f))
+    assert result.is_sat and eval_formula(f, result.model)
 
 
-def test_bundled_real_strict_and_nonstrict():
-    model = bundled_model("(< x 1)", "(>= x 0)", sort="Real")
-    assert 0 <= model["x"] < 1
-
-
-@pytest.mark.parametrize("assertion", ["(or (> x 1) (< x 0))", "(> (* x x) 1)"])
+@pytest.mark.parametrize("assertion", ["(or (> x 1) (< x 0))", "(>= (+ (* x x) (- 1)) 0)"])
 def test_bundled_real_beyond_conjunctions_of_affine_rows_is_unknown(assertion):
     assert bundled(assertion, sort="Real")[0] == "unknown"
 
 
 def test_bundled_dnf_cap_is_unknown():
     names = [f"x{i}" for i in range(11)]
-    split = [f"(or (> {v} 0) (< {v} 0))" for v in names]  # 2^11 clauses
+    split = [f"(or (> {v} 0) (> (- {v}) 0))" for v in names]  # 2^11 clauses
     assert bundled(*split, names=" ".join(names))[0] == "unknown"
 
 
+def int_query(*lines: str) -> str:
+    return "(set-logic QF_NIA)\n(declare-const x Int)\n" + "".join(
+        line + "\n" for line in lines) + "(check-sat)\n"
+
+
 @pytest.mark.parametrize("script", [
-    "(declare-const x Int)\n(assert ())\n(check-sat)\n",
-    "(declare-const x Int)\n(assert (> (/ x) 1))\n(check-sat)\n",
-    "(declare-const x)\n(check-sat)\n",
-    "(declare-const x Int)\n(assert " + "(and " * 900 + "(> x 0)" + ")" * 900 + ")\n(check-sat)\n",
-], ids=["empty-assertion", "unary-division", "declaration-without-sort", "nested-too-deep"])
+    int_query("(assert ())"),
+    int_query("(assert (> (/ x) 0))"),
+    int_query("(assert (> (/ x x) 0))"),
+    "(set-logic QF_NIA)\n(declare-const x)\n(check-sat)\n",
+    int_query("(assert " + "(and " * 900 + "(> x 0)" + ")" * 900 + ")"),
+    int_query("(assert (> x " + "9" * 5000 + "))"),
+    # forms no script of the analyzer holds
+    int_query("(assert (not (> x 3)))"),
+    int_query("(assert (= x 2))"),
+    int_query("(assert false)"),
+    int_query("(assert (> (- x 1) 0))"),
+    "(set-logic QF_NIA)\n(declare-fun x () Int)\n(assert (> x 0))\n(check-sat)\n",
+    "(set-logic QF_NRA)\n(declare-const x Real)\n(assert (< x 1))\n(check-sat)\n",
+    "(set-logic QF_NRA)\n(declare-const x Real)\n(assert (>= (+ x 1.5) 0))\n(check-sat)\n",
+    "(set-logic QF_NRA)\n(declare-const x Real)\n"
+    "(assert (and (>= x 0) (>= (- x) 0)))\n(check-sat)\n",
+    "(set-option :produce-models true)\n" + int_query("(assert (> x 0))"),
+    int_query("(assert (> x 0))", "(exit)"),
+    # the logic and the sorts
+    "(declare-const x Int)\n(assert (> x 0))\n(check-sat)\n",
+    "(set-logic QF_LIA)\n(declare-const x Int)\n(assert (> x 0))\n(check-sat)\n",
+    "(set-logic QF_NIA)\n(declare-const x Real)\n(assert (> x 0))\n(check-sat)\n",
+], ids=["empty-assertion", "unary-division", "division-by-a-variable",
+        "declaration-without-sort", "nested-too-deep", "numeral-past-the-digit-limit",
+        "not", "int-equality", "false", "n-ary-minus", "declare-fun", "real-strict",
+        "decimal", "real-and", "set-option", "exit", "no-logic", "other-logic",
+        "sort-against-the-logic"])
 def test_bundled_malformed_input_is_unknown(script):
     out = io.StringIO()
     minismt.run(script, out)
@@ -645,8 +677,8 @@ def test_bundled_process_answers_an_int_script():
 
 def test_bundled_process_writes_a_model_larger_than_a_pipe_buffer():
     names = [f"c{i}" for i in range(3000)]
-    script = "".join(f"(declare-const {n} Real)\n" for n in names)
-    script += "(assert (> c0 1))\n(check-sat)\n(get-model)\n"
+    script = "(set-logic QF_NRA)\n" + "".join(f"(declare-const {n} Real)\n" for n in names)
+    script += "(assert (>= (+ (* 1 c0) (- 2)) 0))\n(check-sat)\n(get-model)\n"
     proc = run_python(["-m", "polybound.minismt"], script)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout) > 64 * 1024
@@ -657,9 +689,10 @@ def test_bundled_process_writes_a_model_larger_than_a_pipe_buffer():
 
 
 @pytest.mark.parametrize("script, reply", [
-    ("(declare-const x Real)\n(assert (> x 1))\n(assert (< x 0))\n(check-sat)\n"
-     "(get-model)\n", 'unsat\n(error "no model")\n'),
-    ("(declare-const x Int)\n(assert (> x", "unknown\n"),
+    (real_script([LinearConstraint.make({"x": 1}, -2, ">="),  # x >= 2
+                  LinearConstraint.make({"x": -1}, 0, ">=")]),  # x <= 0
+     'unsat\n(error "no model")\n'),
+    ("(set-logic QF_NIA)\n(declare-const x Int)\n(assert (> x", "unknown\n"),
 ], ids=["unsat", "unparseable"])
 def test_bundled_process_writes_its_whole_short_answer(script, reply):
     proc = run_python(["-m", "polybound.minismt"], script)
@@ -670,11 +703,11 @@ def test_bundled_process_answers_a_real_script():
     rows = [
         LinearConstraint.make({"a": 1, "b": 1}, -2, ">="),  # a + b >= 2
         LinearConstraint.make({"a": 2, "b": -1}, 0, "="),  # 2a = b
-        LinearConstraint.make({"b": -1}, 5, ">"),  # b < 5
+        LinearConstraint.make({"b": -1}, 5, ">="),  # b <= 5
     ]
     verdict, model = child_reply(real_script(rows))
     assert verdict == "sat"
-    assert 2 * model["a"] == model["b"] and model["a"] + model["b"] >= 2 and model["b"] < 5
+    assert 2 * model["a"] == model["b"] and model["a"] + model["b"] >= 2 and model["b"] <= 5
     assert child_reply(real_script(rows + [LinearConstraint.make({"a": -1}, 0, ">=")])) == (
         "unsat", {}
     )
