@@ -179,16 +179,6 @@ def bound_subst(b: Bound, mapping: Mapping[str, Bound]) -> Bound:
     return Exp(b.base, bound_subst(b.exponent, mapping))
 
 
-def share(b: Bound, nodes: dict[Bound, Bound]) -> Bound:
-    """``b`` rebuilt from the nodes of ``nodes``: each subterm equal to one
-    already there is that object, and each new one is added."""
-    if isinstance(b, (Sum, Prod)):
-        b = type(b)(tuple(share(x, nodes) for x in b.parts))
-    elif isinstance(b, Exp):
-        b = Exp(b.base, share(b.exponent, nodes))
-    return nodes.setdefault(b, b)
-
-
 def bound_vars(b: Bound) -> frozenset[str]:
     if isinstance(b, Const):
         return frozenset()

@@ -22,6 +22,10 @@ from .sim import VALUE_BITS_CAP, exhaustive_run
 from .smt import SmtContext, SolverNotFound, resolve_solver
 from .twn import TwnRejection, closed_form, twn_check
 
+# The longest wait, in ms, that select.poll takes; the solver child is awaited
+# with it, and a longer --smt-timeout would overflow there.
+MAX_TIMEOUT_MS = 2**31 - 1
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -36,12 +40,12 @@ def main(argv: list[str] | None = None) -> int:
     pa.add_argument("--no-twn", action="store_true", help="disable closed-form loop analysis")
     pa.add_argument("--no-ranking", action="store_true", help="disable ranking functions")
     pa.add_argument("--smt-solver", metavar="PATH", default=None)
-    pa.add_argument("--smt-timeout", metavar="MS", type=_at_least(1), default=5000)
+    pa.add_argument("--smt-timeout", metavar="MS", type=_int_in(1, MAX_TIMEOUT_MS), default=5000)
 
     ps = sub.add_parser("simulate", help="exhaustively explore from a concrete state")
     ps.add_argument("file")
     ps.add_argument("--state", required=True, help='e.g. "x1=7,x2=5"')
-    ps.add_argument("--max-steps", type=_at_least(0), default=10000)
+    ps.add_argument("--max-steps", type=_int_in(0), default=10000)
 
     pc = sub.add_parser("closed-form", help="print the closed form of a self-loop")
     pc.add_argument("file")
@@ -74,9 +78,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
-def _at_least(low: int):
-    """An argparse type for integers of at least *low*; a usage error (exit 3)
-    otherwise."""
+def _int_in(low: int, high: int | None = None):
+    """An argparse type for integers from *low* up to *high* (no upper limit
+    when None); a usage error (exit 3) otherwise."""
 
     def parse(text: str) -> int:
         try:
@@ -85,6 +89,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse

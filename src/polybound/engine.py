@@ -27,15 +27,12 @@ from .bounds import (
     Bound,
     Const,
     INFINITE,
-    ONE,
-    ZERO,
     asymptotic_class,
     bound_subst,
     bound_vars,
     bprod,
     bsum,
     is_omega,
-    share,
     simplify,
 )
 from .ir import Program, Transition, entry_transitions, sccs
@@ -122,20 +119,17 @@ def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
         size_bounds_for_scc(p, scc, rb, sb, twn_analyses)
 
     overall = simplify(bsum(rb[t.tid] for t in p.transitions))
-    # a result keeps one object per distinct node, the constants' own first
-    nodes: dict[Bound, Bound] = {b: b for b in (ZERO, ONE, INFINITE)}
-    result = AnalysisResult(
+    return AnalysisResult(
         program=p,
-        rb={tid: share(b, nodes) for tid, b in rb.items()},
-        sb={key: share(b, nodes) for key, b in sb.items()},
-        overall=share(overall, nodes),
+        rb=rb,
+        sb=sb,
+        overall=overall,
         asymptotic=asymptotic_class(overall),
         provenance=provenance,
         twn_verdicts=twn_verdicts,
         diagnostics=diagnostics,
         timings={"analysis_s": time.perf_counter() - started},
     )
-    return result
 
 
 def _ranking_phase(p, scc, entries, rb, sb, provenance, cfg, diagnostics) -> None:

@@ -20,7 +20,6 @@ appearance.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -89,8 +88,8 @@ def tokenize(text: str) -> list[Token]:
             line, line_start = line + 1, m.end()
         elif kind == "other":
             raise ParseError(f"unexpected character {value[0]!r}", line, col)
-        elif kind != "space":  # interned: all parsed programs share their names
-            tokens.append(Token(value if kind == "symbol" else kind, sys.intern(value), line, col))
+        elif kind != "space":
+            tokens.append(Token(value if kind == "symbol" else kind, value, line, col))
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 

@@ -17,7 +17,6 @@ from polybound.bounds import (
     bound_subst,
     bprod,
     bsum,
-    share,
     simplify,
 )
 from polybound.ir import Polynomial
@@ -140,13 +139,3 @@ def test_bound_grammar_printing():
     assert bound_str(b) == "x4*(2*x5+1)"
     assert bound_str(Const(OMEGA)) == "ω"
     assert bound_str(Exp(2, Sum((Var("x"), Const(1))))) == "2^(x+1)"
-
-
-def test_share_makes_equal_subterms_one_object():
-    nodes = {}
-    inner = bsum([bprod([Const(2), Var("x")]), Var("y")])
-    outer = bprod([bsum([bprod([Const(2), Var("x")]), Var("y")]), Exp(2, Var("x"))])
-    first, second = share(inner, nodes), share(outer, nodes)
-    assert (first, second) == (inner, outer)
-    assert second.parts[0] is first
-    assert second.parts[1].exponent is first.parts[0].parts[1]

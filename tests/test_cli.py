@@ -172,6 +172,7 @@ def test_deep_nesting_is_input_error(tmp_path, capsys):
     ("analyze", "--smt-timeout", "0"),
     ("analyze", "--smt-timeout", "-5"),
     ("analyze", "--smt-timeout", "ten"),
+    ("analyze", "--smt-timeout", "2147483648"),
 ])
 def test_out_of_range_option_is_input_error(command, option, value, capsys):
     args = [command, fixture("countdown"), f"{option}={value}"]

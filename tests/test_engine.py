@@ -4,7 +4,6 @@ import random
 from polybound.bounds import (
     AsymptoticClass,
     Const,
-    Exp,
     OMEGA,
     Var,
     asymptotic_class,
@@ -15,7 +14,7 @@ from polybound.cli import report_json
 from polybound.engine import AnalysisConfig, analyze, lift_local_bound
 from polybound.ir import parse_program
 
-from conftest import FIXTURE_NAMES, analyzed_fixture, load_fixture
+from conftest import load_fixture
 
 
 def test_nested_bounds(nested):
@@ -143,17 +142,3 @@ def test_ranking_bound_counts_the_last_step():
             assert steps + 1 <= bound_eval(result.overall, state)
             assert largest <= bound_eval(result.sb[("t1", "x")], state)
         assert bound_eval(result.rb["t1"], {"x": 0}) == 1
-
-
-def test_result_holds_one_object_per_distinct_bound_node():
-    def subterms(b):
-        yield b
-        for child in (b.exponent,) if isinstance(b, Exp) else getattr(b, "parts", ()):
-            yield from subterms(child)
-
-    for name in FIXTURE_NAMES:
-        result = analyzed_fixture(name)
-        nodes = {}
-        for b in [*result.rb.values(), *result.sb.values(), result.overall]:
-            for node in subterms(b):
-                assert nodes.setdefault(node, node) is node, (name, node)

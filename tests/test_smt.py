@@ -723,23 +723,32 @@ def procedure_reply(script: str):
     return parse_reply(out.getvalue())
 
 
-def test_launched_child_answers_every_fixture_query_as_the_procedure_does(monkeypatch):
-    run_solver = polybound.smt._run_solver
-    asked = []
+def test_launched_child_replies_to_every_workload_query_as_the_procedure_does(monkeypatch):
+    """Each query the workloads send the bundled child at seeds 1 and 7 gets
+    the reply text ``minismt.run`` writes in-process.  The child's reply is
+    recorded where ``_run_solver`` starts it, so no query starts a second one."""
+    run = subprocess.run
+    replies = []
 
-    def recording(script, timeout_ms, solver):
-        result = run_solver(script, timeout_ms, solver)
-        asked.append((script, result))
-        return result
+    def recording(*args, **kwargs):
+        proc = run(*args, **kwargs)
+        replies.append((kwargs["input"], proc.stdout))
+        return proc
 
-    monkeypatch.setattr(polybound.smt, "_run_solver", recording)
+    monkeypatch.setattr(polybound.smt, "subprocess", SimpleNamespace(
+        run=recording, TimeoutExpired=subprocess.TimeoutExpired))
     smt = SmtContext(solver=FALLBACK)
-    for name in FIXTURE_NAMES:
-        analyze(load_fixture(name), AnalysisConfig(smt=smt))
-    assert asked and smt.decided == len(asked) and not smt.failures
-    for script, result in asked:
-        expected = procedure_reply(script)
-        assert (result.status, result.model) == (expected.status, expected.model), script
+    jobs = benchmark_jobs("fixtures", 1)  # the same at every seed
+    for workload in ("ranking_wide", "twn_loops"):
+        jobs += benchmark_jobs(workload, 1) + benchmark_jobs(workload, 7)
+    for job in jobs:
+        cfg = AnalysisConfig(twn_enabled=job.twn, ranking_enabled=job.ranking, smt=smt)
+        analyze(parse_program(job.text), cfg)
+    assert replies and smt.decided == len(replies) and not smt.failures
+    for script, reply in replies:
+        out = io.StringIO()
+        minismt.run(script, out)
+        assert out.getvalue() == reply, script
 
 
 def test_bundled_query_ignores_a_shadowing_working_directory(tmp_path, monkeypatch):
