@@ -67,10 +67,7 @@ _EXPORTS = {
         "bound_of_poly", "bound_str", "bound_subst", "simplify",
     ),
     "engine": ("AnalysisConfig", "AnalysisResult", "analyze", "lift_local_bound"),
-    "ir": (
-        "ParseError", "Polynomial", "Program", "Transition", "parse_program",
-        "print_program",
-    ),
+    "ir": ("ParseError", "Polynomial", "Program", "Transition", "parse_program"),
     "sim": ("Configuration", "ExhaustiveResult", "exhaustive_run", "step"),
     "smt": ("SmtContext", "SmtResult"),
     "twn": ("ClosedForm", "TwnLoop", "closed_form", "twn_check"),

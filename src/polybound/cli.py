@@ -19,12 +19,8 @@ from .ir import ParseError, Program, ProgramError, parse_program
 from .polyexp import ClosedFormTooLarge
 from .ranking import RankingValidationError
 from .sim import VALUE_BITS_CAP, exhaustive_run
-from .smt import SmtContext, SolverNotFound, resolve_solver
+from .smt import MAX_TIMEOUT_MS, SmtContext, SolverNotFound, resolve_solver
 from .twn import TwnRejection, closed_form, twn_check
-
-# The longest wait, in ms, that select.poll takes; the solver child is awaited
-# with it, and a longer --smt-timeout would overflow there.
-MAX_TIMEOUT_MS = 2**31 - 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -83,11 +83,12 @@ def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
     started = time.perf_counter()
     diagnostics: list[str] = []
 
-    decomposition = sccs(p)
+    units = sccs(p)
+    cyclic = {t.tid for _, internal in units for t in internal}
     rb: dict[str, Bound] = {}
     provenance: dict[str, str] = {}
     for t in p.transitions:
-        if decomposition.is_cyclic(t):
+        if t.tid in cyclic:
             rb[t.tid] = INFINITE
             provenance[t.tid] = "none"
         else:
@@ -98,7 +99,7 @@ def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
     twn_analyses: dict[str, TwnAnalysis] = {}
     twn_verdicts: dict[str, dict] = {}
 
-    for feeding, internal in decomposition.units():
+    for feeding, internal in units:
         for t in feeding:
             size_bounds_for_scc(p, [t], rb, sb)
         if not internal:

@@ -12,8 +12,8 @@ _EXPORTS = {
         "dnf", "eval_formula", "formula_vars", "map_atoms", "mk_and", "mk_or",
         "normalize_atom", "substitute",
     ),
-    "graph": ("SccDecomposition", "entry_transitions", "sccs"),
-    "parser": ("ParseError", "parse_program", "print_program"),
+    "graph": ("entry_transitions", "sccs"),
+    "parser": ("ParseError", "parse_program"),
     "poly": ("Polynomial",),
     "program": ("Program", "ProgramError", "Transition", "compose_updates"),
 }

@@ -41,9 +41,6 @@ class Atom(_Value):
     def holds(self, state: Mapping[str, int]) -> bool:
         return self.poly.evaluate(state) > 0
 
-    def __str__(self) -> str:
-        return f"{self.poly} > 0"
-
 
 class And(_Value):
     __slots__ = ("children",)
@@ -51,20 +48,12 @@ class And(_Value):
     def __init__(self, children: tuple["Formula", ...]):
         self.children = children
 
-    def __str__(self) -> str:
-        return " && ".join(
-            f"({c})" if isinstance(c, Or) else str(c) for c in self.children
-        )
-
 
 class Or(_Value):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple["Formula", ...]):
         self.children = children
-
-    def __str__(self) -> str:
-        return " || ".join(str(c) for c in self.children)
 
 
 Formula = Atom | And | Or

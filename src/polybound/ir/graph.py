@@ -2,49 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .program import Program, Transition
 
 
-@dataclass
-class SccDecomposition:
-    """Location SCCs numbered in topological order, plus cycle membership.
-
-    ``loc_component`` maps each location to its SCC id.  A transition is
-    cyclic iff its endpoints share a (location) SCC.
-    """
-
-    loc_component: dict[str, int]
-    _program: Program
-
-    def is_cyclic(self, t: Transition) -> bool:
-        return self.loc_component[t.src] == self.loc_component[t.tgt]
-
-    def units(self) -> list[tuple[list[Transition], list[Transition]]]:
-        """Per condensation component in topological order: the transitions
-        feeding into it from earlier components, then its internal ones
-        (declaration order; empty for an SCC without a cycle)."""
-        out = []
-        for comp in range(len(set(self.loc_component.values()))):
-            feeding = [
-                t
-                for t in self._program.transitions
-                if self.loc_component[t.tgt] == comp
-                and self.loc_component[t.src] != comp
-            ]
-            internal = [
-                t
-                for t in self._program.transitions
-                if self.loc_component[t.src] == comp
-                and self.loc_component[t.tgt] == comp
-            ]
-            out.append((feeding, internal))
-        return out
-
-
-def sccs(p: Program) -> SccDecomposition:
-    """Tarjan over locations; components come out in topological order."""
+def sccs(p: Program) -> list[tuple[list[Transition], list[Transition]]]:
+    """Per location SCC in topological order (Tarjan): the transitions
+    feeding into it from earlier components, then its internal ones
+    (declaration order; empty for an SCC without a cycle).  A transition is
+    cyclic iff it is internal to some SCC."""
     order = _location_order(p)
     succ: dict[str, list[str]] = {loc: [] for loc in order}
     for t in p.transitions:
@@ -102,7 +67,14 @@ def sccs(p: Program) -> SccDecomposition:
     for cid, comp in enumerate(reversed(finished)):  # topological ids
         for loc in comp:
             loc_component[loc] = cid
-    return SccDecomposition(loc_component, p)
+    units = [([], []) for _ in finished]
+    for t in p.transitions:
+        src, tgt = loc_component[t.src], loc_component[t.tgt]
+        if src == tgt:
+            units[tgt][1].append(t)
+        else:
+            units[tgt][0].append(t)
+    return units
 
 
 def _location_order(p: Program) -> list[str]:

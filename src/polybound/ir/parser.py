@@ -346,23 +346,3 @@ def parse_program(text: str) -> Program:
         tok = parser.peek()
         raise ParseError("nesting too deep", tok.line, tok.col) from None
 
-
-# -- printing ---------------------------------------------------------------
-
-
-def print_program(p: Program) -> str:
-    lines = [
-        "(GOAL COMPLEXITY)",
-        f"(STARTTERM (FUNCTIONSYMBOLS {p.init}))",
-        "(VAR " + " ".join(p.vars) + ")",
-        "(RULES",
-    ]
-    for t in p.transitions:
-        lhs = f"{t.src}(" + ",".join(p.vars) + ")"
-        rhs = f"{t.tgt}(" + ",".join(str(t.update[v]) for v in p.vars) + ")"
-        line = f"  {lhs} -> {rhs}"
-        if t.guard != TRUE:
-            line += f" :|: {t.guard}"
-        lines.append(line)
-    lines.append(")")
-    return "\n".join(lines) + "\n"

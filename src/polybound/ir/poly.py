@@ -41,7 +41,7 @@ def _mono_degree(m: Monomial) -> int:
 class Polynomial:
     """Immutable polynomial in ``Q[V]``; variables are plain strings."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         cleaned: dict[Monomial, Fraction] = {}
@@ -52,7 +52,6 @@ class Polynomial:
                 if c != 0:
                     cleaned[mono] = c
         self._terms = cleaned
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
 
@@ -144,9 +143,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "Polynomial":
-        return _coerce(other) - self
-
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = _coerce(other)
         terms: dict[Monomial, Fraction] = {}
@@ -220,9 +216,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         if not self._terms:

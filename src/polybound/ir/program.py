@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .formula import Formula, formula_vars
@@ -35,17 +35,15 @@ class Program:
     locs: frozenset[str]
     init: str
     transitions: tuple[Transition, ...]
-    _by_id: dict[str, Transition] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         validate_program(self)
-        self._by_id = {t.tid: t for t in self.transitions}
 
     def transition(self, tid: str) -> Transition:
-        try:
-            return self._by_id[tid]
-        except KeyError:
-            raise ProgramError(f"no transition named {tid!r}") from None
+        for t in self.transitions:
+            if t.tid == tid:
+                return t
+        raise ProgramError(f"no transition named {tid!r}")
 
     def incoming(self, loc: str) -> list[Transition]:
         return [t for t in self.transitions if t.tgt == loc]

@@ -45,6 +45,7 @@ without rows (this process's all-zero ``sat``), never reaches it.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -63,42 +64,13 @@ ENUM_NODE_CAP = 200_000
 
 
 def parse_sexprs(text: str) -> list:
-    tokens = _tokenize(text)
+    tokens = re.findall(r"[()]|[^\s()]+", text)
     out = []
     pos = 0
     while pos < len(tokens):
         expr, pos = _parse_one(tokens, pos)
         out.append(expr)
     return out
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch == "|":
-            j = text.index("|", i + 1)
-            tokens.append(text[i : j + 1])
-            i = j + 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "();":
-            j += 1
-        tokens.append(text[i:j])
-        i = j
-    return tokens
 
 
 def _parse_one(tokens: list[str], pos: int):
@@ -419,8 +391,6 @@ def solve_clauses(clauses: list[tuple[Atom, ...]], search: bool = True):
 def _integer_hunt(rows: list[Polynomial], hint: dict[str, Fraction]):
     """An integer point with every row ``>= 0``, or None."""
     variables = sorted({v for poly in rows for v in poly.variables()})
-    if not variables:
-        return {}
     int_rows = [_int_row(poly) for poly in rows]
     # rounding the rational point first
     if hint:

@@ -87,9 +87,8 @@ def pe_add(x: PolyExp, y: PolyExp) -> PolyExp:
 
 
 def pe_scale(x: PolyExp, factor) -> PolyExp:
+    """``factor * x`` for a nonzero ``factor``."""
     f = Fraction(factor)
-    if f == 0:
-        return PE_ZERO
     return PolyExp(tuple((q.scale(f), a, b) for q, a, b in x.addends))
 
 

@@ -44,11 +44,6 @@ from .twnbounds import TwnAnalysis, twn_size_bound
 SizeBoundMap = dict[tuple[str, str], Bound]
 
 
-def local_size_bound(t: Transition, v: str) -> Bound:
-    """Coefficient-magnitude bound of the update polynomial for ``v``."""
-    return bound_of_poly(t.update[v])
-
-
 def _sum_over(transitions, v: str, sb: SizeBoundMap) -> Bound:
     """The sum of SB(r, v) over ``transitions``, a bound on their maximum."""
     return simplify(bsum(sb[(r.tid, v)] for r in transitions))
@@ -59,12 +54,12 @@ def _composed_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Boun
     mapping = {
         w: _sum_over(p.incoming(t.src), w, sb) for w in t.update[v].variables()
     }
-    return simplify(bound_subst(local_size_bound(t, v), mapping))
+    return simplify(bound_subst(bound_of_poly(t.update[v]), mapping))
 
 
 def _acyclic_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound:
     if t.src == p.init:
-        return simplify(local_size_bound(t, v))
+        return simplify(bound_of_poly(t.update[v]))
     return _composed_bound(p, t, v, sb)
 
 

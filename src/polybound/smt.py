@@ -71,6 +71,9 @@ class SmtResult:
 BUNDLED = [sys.executable, "-m", "polybound.minismt"]
 # where this ``polybound`` package is imported from
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The longest wait, in ms, that select.poll takes; the solver child is awaited
+# with it, and a longer timeout would overflow there.
+MAX_TIMEOUT_MS = 2**31 - 1
 
 
 def resolve_solver(explicit: str | None = None) -> list[str]:
@@ -244,7 +247,7 @@ def _run_solver(script: str, timeout_ms: int, solver: list[str]) -> SmtResult:
             input=script,
             capture_output=True,
             text=True,
-            timeout=max(timeout_ms, 1) / 1000.0,
+            timeout=timeout_ms / 1000.0,
         )
     except subprocess.TimeoutExpired:
         return SmtResult("unknown", reason=f"timeout after {timeout_ms} ms")
@@ -303,6 +306,9 @@ class SmtContext:
     failures: list[str] = field(default_factory=list, init=False)
 
     def __post_init__(self):
+        if not 1 <= self.timeout_ms <= MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout_ms must be from 1 to {MAX_TIMEOUT_MS}, "
+                             f"got {self.timeout_ms}")
         if self.solver is None:
             self.solver = resolve_solver()
 

@@ -126,12 +126,8 @@ def _check_structure(
         order.append(v)
     order.reverse()  # dependencies of earlier entries come later
 
-    coeffs: dict[str, int] = {}
-    for v in variables:
-        c = splits[v][0]
-        if c.denominator != 1:
-            raise NonLinearSelfOccurrence(v)  # unreachable for integral updates
-        coeffs[v] = c.numerator
+    # integral: programs validate their updates so, and composition keeps it
+    coeffs = {v: splits[v][0].numerator for v in variables}
     return tuple(order), coeffs
 
 

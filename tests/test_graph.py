@@ -8,32 +8,34 @@ from polybound.sim import exhaustive_run
 from conftest import FIXTURE_NAMES, load_fixture
 
 
-def cyclic_components(d):
+def cyclic_components(units):
     """Internal transitions of the SCCs that hold a cycle, in topological order."""
-    return [internal for _, internal in d.units() if internal]
+    return [internal for _, internal in units if internal]
+
+
+def cyclic_ids(units) -> set[str]:
+    return {t.tid for comp in cyclic_components(units) for t in comp}
 
 
 def test_nested_single_scc(nested):
-    d = sccs(nested)
-    assert [[t.tid for t in comp] for comp in cyclic_components(d)] == [["t1", "t2", "t3"]]
-    assert not d.is_cyclic(nested.transition("t0"))
-    for tid in ("t1", "t2", "t3"):
-        assert d.is_cyclic(nested.transition(tid))
+    units = sccs(nested)
+    assert [[t.tid for t in comp] for comp in cyclic_components(units)] == [["t1", "t2", "t3"]]
+    assert cyclic_ids(units) == {"t1", "t2", "t3"}
 
 
 def test_straight_line_has_no_sccs():
     p = load_fixture("straight_line")
-    d = sccs(p)
-    assert cyclic_components(d) == []
-    assert not any(d.is_cyclic(t) for t in p.transitions)
+    units = sccs(p)
+    assert cyclic_components(units) == []
+    assert cyclic_ids(units) == set()
 
 
 def test_two_independent_loops_in_topological_order():
     p = load_fixture("two_loops")
-    d = sccs(p)
+    units = sccs(p)
     # derived by hand: the l1 component must precede the l2 component
-    assert [[t.tid for t in comp] for comp in cyclic_components(d)] == [["t1"], ["t3"]]
-    assert not d.is_cyclic(p.transition("t2"))
+    assert [[t.tid for t in comp] for comp in cyclic_components(units)] == [["t1"], ["t3"]]
+    assert "t2" not in cyclic_ids(units)
 
 
 def test_entry_transitions_nested(nested):
@@ -49,8 +51,7 @@ def test_entry_transitions_whole_program_empty(nested):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_entry_transition_contract(name):
     p = load_fixture(name)
-    d = sccs(p)
-    for comp in cyclic_components(d):
+    for comp in cyclic_components(sccs(p)):
         members = {t.tid for t in comp}
         sources = {t.src for t in comp}
         entries = entry_transitions(p, comp)
@@ -60,9 +61,8 @@ def test_entry_transition_contract(name):
 
 
 def test_units_cover_every_transition_once(nested):
-    d = sccs(nested)
     seen = []
-    for feeding, internal in d.units():
+    for feeding, internal in sccs(nested):
         seen.extend(t.tid for t in feeding)
         seen.extend(t.tid for t in internal)
     assert sorted(seen) == sorted(t.tid for t in nested.transitions)
@@ -71,7 +71,7 @@ def test_units_cover_every_transition_once(nested):
 @pytest.mark.parametrize("name", ["nested", "countdown", "two_loops", "straight_line"])
 def test_non_cyclic_transitions_fire_at_most_once(name):
     p = load_fixture(name)
-    d = sccs(p)
+    cyclic = cyclic_ids(sccs(p))
     rng = random.Random(11)
     for _ in range(15):
         state = {v: rng.randint(-6, 6) for v in p.vars}
@@ -79,5 +79,5 @@ def test_non_cyclic_transitions_fire_at_most_once(name):
         if result.exceeded:
             continue
         for t in p.transitions:
-            if not d.is_cyclic(t):
+            if t.tid not in cyclic:
                 assert result.per_transition[t.tid] <= 1

@@ -10,10 +10,7 @@ from polybound.ir import (
     Polynomial,
     TRUE,
     parse_program,
-    print_program,
 )
-
-from conftest import FIXTURE_NAMES, load_fixture
 
 
 def test_nested_structure(nested):
@@ -101,18 +98,6 @@ def test_division_by_constant_allowed_when_integral():
         "(RULES l0(x) -> l1(4*x/2))"
     )
     assert p.transition("t0").update["x"] == Polynomial.var("x") * 2
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_print_parse_roundtrip(name):
-    program = load_fixture(name)
-    printed = print_program(program)
-    reparsed = parse_program(printed)
-    assert print_program(reparsed) == printed
-    assert [t.tid for t in reparsed.transitions] == [t.tid for t in program.transitions]
-    for t1, t2 in zip(program.transitions, reparsed.transitions):
-        assert t1.guard == t2.guard
-        assert t1.update == t2.update
 
 
 def test_long_guard_of_parenthesized_atoms_parses_in_linear_time():

@@ -5,8 +5,8 @@ a refactor that changes any bound, provenance, verdict or diagnostic fails
 here.  Regenerate a golden only together with a change that is meant to
 alter that report.
 
-The seed-1 programs of the benchmark's generated workloads are pinned the
-same way, one golden per workload: ``twn_loops`` reaches the chained,
+The seed-1 and seed-7 programs of the benchmark's generated workloads are
+pinned the same way, one golden per workload and seed: ``twn_loops`` reaches the chained,
 nonterminating-witness and dominance paths that no fixture does.
 """
 
@@ -39,9 +39,9 @@ def test_report_matches_golden(name):
     assert report_text(name) == (GOLDEN / f"{name}.json").read_text()
 
 
-def workload_text(workload: str) -> str:
+def workload_text(workload: str, seed: int) -> str:
     reports = []
-    for job in benchmark_jobs(workload, 1):
+    for job in benchmark_jobs(workload, seed):
         cfg = AnalysisConfig(twn_enabled=job.twn, ranking_enabled=job.ranking,
                              smt=SmtContext(solver=BUNDLED))
         report = report_json(analyze(parse_program(job.text), cfg), job.pid)
@@ -50,6 +50,14 @@ def workload_text(workload: str) -> str:
     return json.dumps(reports, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("workload", ["ranking_wide", "twn_loops"])
-def test_workload_reports_match_golden(workload):
-    assert workload_text(workload) == (GOLDEN / f"workload_{workload}.json").read_text()
+def workload_golden(workload: str, seed: int) -> Path:
+    suffix = "" if seed == 1 else f"_seed{seed}"
+    return GOLDEN / f"workload_{workload}{suffix}.json"
+
+
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(workload, seed, id=workload if seed == 1 else f"{workload}-seed{seed}")
+    for seed in (1, 7) for workload in ("ranking_wide", "twn_loops")
+])
+def test_workload_reports_match_golden(workload, seed):
+    assert workload_text(workload, seed) == workload_golden(workload, seed).read_text()

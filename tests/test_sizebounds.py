@@ -2,22 +2,22 @@ import random
 
 import pytest
 
-from polybound.bounds import Const, INFINITE, bound_eval, is_omega
+from polybound.bounds import Const, INFINITE, bound_eval, bound_of_poly, is_omega
 from polybound.engine import analyze
 from polybound.ir import parse_program, sccs
-from polybound.sizebounds import local_size_bound, size_bounds_for_scc
+from polybound.sizebounds import size_bounds_for_scc
 
 from conftest import FIXTURE_NAMES, explore_sizes, load_fixture
 
 
 def test_local_size_bound_examples(nested):
     t1 = nested.transition("t1")
-    b = local_size_bound(t1, "x2")  # update x2 <- x5
+    b = bound_of_poly(t1.update["x2"])  # update x2 <- x5
     assert bound_eval(b, {v: 9 for v in nested.vars}) == 9
     t2 = nested.transition("t2")
-    b = local_size_bound(t2, "x4")  # update x4 <- x4 - 1
+    b = bound_of_poly(t2.update["x4"])  # update x4 <- x4 - 1
     assert bound_eval(b, {v: 9 for v in nested.vars}) == 10
-    b = local_size_bound(t1, "x3")  # identity
+    b = bound_of_poly(t1.update["x3"])  # identity
     assert bound_eval(b, {v: 4 for v in nested.vars}) == 4
 
 
@@ -80,7 +80,7 @@ def test_size_bounds_dominate_observed_values(name):
 
 def test_monotone_refinement_under_smaller_runtime_bounds():
     p = load_fixture("additive")
-    scc = next(internal for _, internal in sccs(p).units() if internal)
+    scc = next(internal for _, internal in sccs(p) if internal)
     sb_template = {}
     for t in [p.transition("t0")]:
         size_bounds_for_scc(p, [t], {}, sb_template)

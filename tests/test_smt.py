@@ -165,6 +165,13 @@ def test_timeout_yields_unknown(tmp_path):
     assert not ctx.failures  # a timeout is not a broken solver
 
 
+@pytest.mark.parametrize("timeout_ms", [0, 2**31])
+def test_timeout_out_of_range_is_rejected_when_built(timeout_ms):
+    # subprocess.run raises OverflowError for a timeout past 2**31 - 1 ms
+    with pytest.raises(ValueError, match="timeout_ms"):
+        SmtContext(FALLBACK, timeout_ms=timeout_ms)
+
+
 def test_missing_solver_binary_is_unknown():
     result = SmtContext(["/nonexistent/solver-binary"]).sat_int(Atom(x))
     assert result.status == "unknown"
@@ -643,6 +650,8 @@ def int_query(*lines: str) -> str:
     "(assert (and (>= x 0) (>= (- x) 0)))\n(check-sat)\n",
     "(set-option :produce-models true)\n" + int_query("(assert (> x 0))"),
     int_query("(assert (> x 0))", "(exit)"),
+    "; note\n" + int_query("(assert (> x 0))"),
+    "(set-logic QF_NIA)\n(declare-const |a b| Int)\n(assert (> |a b| 0))\n(check-sat)\n",
     # the logic and the sorts
     "(declare-const x Int)\n(assert (> x 0))\n(check-sat)\n",
     "(set-logic QF_LIA)\n(declare-const x Int)\n(assert (> x 0))\n(check-sat)\n",
@@ -650,7 +659,8 @@ def int_query(*lines: str) -> str:
 ], ids=["empty-assertion", "unary-division", "division-by-a-variable",
         "declaration-without-sort", "nested-too-deep", "numeral-past-the-digit-limit",
         "not", "int-equality", "false", "n-ary-minus", "declare-fun", "real-strict",
-        "decimal", "real-and", "set-option", "exit", "no-logic", "other-logic",
+        "decimal", "real-and", "set-option", "exit", "comment", "quoted-symbol",
+        "no-logic", "other-logic",
         "sort-against-the-logic"])
 def test_bundled_malformed_input_is_unknown(script):
     out = io.StringIO()
