@@ -57,10 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_closed_form(args)
-    except (ParseError, ProgramError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, ProgramError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except SolverNotFound as exc:

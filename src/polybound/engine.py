@@ -5,12 +5,13 @@ Components of the location graph are processed in topological order, so the
 bounds of everything upstream are final when a component is handled.  Inside
 a component: size bounds first (entry bounds are what lifting needs), then
 ranking functions (whole component, retrying with singleton decreasing
-sets), then closed-form analysis for the remaining self-loops, then a
-recomputation of the component's size bounds with the improved runtime
-bounds.  A cheap structural rule fills in transitions that are dominated by
-their predecessors: a non-self-loop can fire at most once per arrival at its
-source location, so the runtime bounds of the non-self-loop predecessors
-bound it.
+sets), then a cheap structural rule, then closed-form analysis for the
+remaining self-loops, then a recomputation of the component's size bounds
+with the improved runtime bounds.  The structural rule fills in transitions
+that are dominated by their predecessors: a non-self-loop can fire at most
+once per arrival at its source location, so the runtime bounds of the
+non-self-loop predecessors bound it.  It runs once, before closed forms:
+those bound only self-loops, which the rule neither reads nor writes.
 
 Lifting a local bound multiplies, per entry transition, the number of times
 the entry can run (its global bound) with the local bound instantiated at
@@ -20,7 +21,7 @@ the entry's size bounds, and sums over the entries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bounds import (
     AsymptoticClass,
@@ -81,137 +82,118 @@ def lift_local_bound(
 def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
     cfg = cfg or AnalysisConfig()
     started = time.perf_counter()
-    diagnostics: list[str] = []
-
     units = sccs(p)
     cyclic = {t.tid for _, internal in units for t in internal}
-    rb: dict[str, Bound] = {}
-    provenance: dict[str, str] = {}
+    state = _Analysis(p, cfg.smt)
     for t in p.transitions:
         if t.tid in cyclic:
-            rb[t.tid] = INFINITE
-            provenance[t.tid] = "none"
-        else:
-            rb[t.tid] = Const(1)  # off every cycle: at most one firing per run
-            provenance[t.tid] = "trivial"
+            state.rb[t.tid], state.provenance[t.tid] = INFINITE, "none"
+        else:  # off every cycle: at most one firing per run
+            state.rb[t.tid], state.provenance[t.tid] = Const(1), "trivial"
 
-    sb: SizeBoundMap = {}
-    twn_analyses: dict[str, TwnAnalysis] = {}
-    twn_verdicts: dict[str, dict] = {}
-
-    for feeding, internal in units:
+    for feeding, scc in units:
         for t in feeding:
-            size_bounds_for_scc(p, [t], rb, sb)
-        if not internal:
+            size_bounds_for_scc(p, [t], state.rb, state.sb)
+        if not scc:
             continue
-        scc = internal
         entries = entry_transitions(p, scc)
-        size_bounds_for_scc(p, scc, rb, sb)
-
+        size_bounds_for_scc(p, scc, state.rb, state.sb)
         if cfg.ranking_enabled:
-            _ranking_phase(p, scc, entries, rb, sb, provenance, cfg, diagnostics)
-        _structural_phase(p, scc, rb, provenance)
+            state.ranking_phase(scc, entries)
+        # once: twn bounds only self-loops, which it neither reads nor writes
+        state.structural_phase(scc)
         if cfg.twn_enabled:
-            _twn_phase(
-                p, scc, rb, sb, provenance, cfg, twn_analyses, twn_verdicts,
-                diagnostics,
-            )
-        _structural_phase(p, scc, rb, provenance)
-        size_bounds_for_scc(p, scc, rb, sb, twn_analyses)
+            state.twn_phase(scc)
+        size_bounds_for_scc(p, scc, state.rb, state.sb, state.twn_analyses)
 
-    overall = simplify(bsum(rb[t.tid] for t in p.transitions))
+    overall = simplify(bsum(state.rb[t.tid] for t in p.transitions))
     return AnalysisResult(
         program=p,
-        rb=rb,
-        sb=sb,
+        rb=state.rb,
+        sb=state.sb,
         overall=overall,
         asymptotic=asymptotic_class(overall),
-        provenance=provenance,
-        twn_verdicts=twn_verdicts,
-        diagnostics=diagnostics,
+        provenance=state.provenance,
+        twn_verdicts=state.twn_verdicts,
+        diagnostics=state.diagnostics,
         timings={"analysis_s": time.perf_counter() - started},
     )
 
 
-def _ranking_phase(p, scc, entries, rb, sb, provenance, cfg, diagnostics) -> None:
-    tried: set[frozenset[str]] = set()
-    while True:
-        remaining = [t for t in scc if is_omega(rb[t.tid])]
-        if not remaining:
-            return
-        candidates = [tuple(remaining)]
-        candidates.extend((t,) for t in remaining)
-        progress = False
-        for cand in candidates:
-            key = frozenset(t.tid for t in cand)
-            if key in tried:
-                continue
-            tried.add(key)
-            rf = synthesize_lrf(p, scc, list(cand), cfg.smt)
-            if rf is None:
-                continue
-            label = "ranking bound for {" + ",".join(t.tid for t in cand) + "}"
-            if _lift(rf_local_bound(rf, entries), entries, cand, "ranking", label,
-                     rb, sb, provenance, diagnostics):
-                progress = True
-                break
-        if not progress:
-            return
+@dataclass
+class _Analysis:
+    """One analysis in progress: the bounds found so far, and how."""
 
+    p: Program
+    smt: SmtContext
+    rb: dict[str, Bound] = field(default_factory=dict)
+    sb: SizeBoundMap = field(default_factory=dict)
+    provenance: dict[str, str] = field(default_factory=dict)
+    twn_analyses: dict[str, TwnAnalysis] = field(default_factory=dict)
+    twn_verdicts: dict[str, dict] = field(default_factory=dict)
+    diagnostics: list[str] = field(default_factory=list)
 
-def _structural_phase(p, scc, rb, provenance) -> None:
-    # A non-self-loop fires at most once per arrival at its source; arrivals
-    # happen only through non-self-loop predecessors (the start location has
-    # no incoming transitions and is never re-entered).
-    changed = True
-    while changed:
-        changed = False
+    def ranking_phase(self, scc: list[Transition], entries: list[Transition]) -> None:
+        tried: set[frozenset[str]] = set()
+        while remaining := [t for t in scc if is_omega(self.rb[t.tid])]:
+            for cand in [tuple(remaining), *((t,) for t in remaining)]:
+                key = frozenset(t.tid for t in cand)
+                if key in tried:
+                    continue
+                tried.add(key)
+                rf = synthesize_lrf(self.p, scc, list(cand), self.smt)
+                if rf is None:
+                    continue
+                label = "ranking bound for {" + ",".join(t.tid for t in cand) + "}"
+                if self.lift(rf_local_bound(rf, entries), entries, cand, "ranking", label):
+                    break
+            else:
+                return
+
+    def structural_phase(self, scc: list[Transition]) -> None:
+        # A non-self-loop fires at most once per arrival at its source;
+        # arrivals happen only through non-self-loop predecessors (the start
+        # location has no incoming transitions and is never re-entered).
+        changed = True
+        while changed:
+            changed = False
+            for t in scc:
+                if not is_omega(self.rb[t.tid]) or t.is_self_loop:
+                    continue
+                preds = [r for r in self.p.incoming(t.src) if not r.is_self_loop]
+                if any(is_omega(self.rb[r.tid]) for r in preds):
+                    continue
+                self.rb[t.tid] = simplify(bsum(self.rb[r.tid] for r in preds))
+                self.provenance[t.tid] = "trivial"
+                changed = True
+
+    def twn_phase(self, scc: list[Transition]) -> None:
         for t in scc:
-            if not is_omega(rb[t.tid]) or t.is_self_loop:
+            if not is_omega(self.rb[t.tid]) or not t.is_self_loop:
                 continue
-            preds = [r for r in p.incoming(t.src) if not r.is_self_loop]
-            if any(is_omega(rb[r.tid]) for r in preds):
+            outcome = analyze_self_loop(t, self.smt)
+            if isinstance(outcome, Unsupported):
+                self.twn_verdicts[t.tid] = {"status": "unsupported", "reason": outcome.reason}
+                self.diagnostics.append(f"{t.tid}: twn analysis unsupported: {outcome.reason}")
                 continue
-            rb[t.tid] = simplify(bsum(rb[r.tid] for r in preds))
-            provenance[t.tid] = "trivial"
-            changed = True
+            self.twn_analyses[t.tid] = outcome
+            # status, then witness and reason where the verdict has them
+            self.twn_verdicts[t.tid] = {k: v for k, v in asdict(outcome.verdict).items() if v}
+            if outcome.local_bound is not None:
+                self.lift(outcome.local_bound, entry_transitions(self.p, [t]), [t],
+                          "twn", f"{t.tid}: twn bound")
 
-
-def _twn_phase(
-    p, scc, rb, sb, provenance, cfg, twn_analyses, twn_verdicts, diagnostics
-) -> None:
-    for t in scc:
-        if not is_omega(rb[t.tid]) or not t.is_self_loop:
-            continue
-        outcome = analyze_self_loop(t, cfg.smt)
-        if isinstance(outcome, Unsupported):
-            twn_verdicts[t.tid] = {"status": "unsupported", "reason": outcome.reason}
-            diagnostics.append(f"{t.tid}: twn analysis unsupported: {outcome.reason}")
-            continue
-        twn_analyses[t.tid] = outcome
-        verdict = outcome.verdict
-        twn_verdicts[t.tid] = {
-            "status": verdict.status,
-            **({"witness": verdict.witness} if verdict.witness else {}),
-            **({"reason": verdict.reason} if verdict.reason else {}),
-        }
-        if outcome.local_bound is not None:
-            _lift(outcome.local_bound, entry_transitions(p, [t]), [t], "twn",
-                  f"{t.tid}: twn bound", rb, sb, provenance, diagnostics)
-
-
-def _lift(local, entries, members, technique, label, rb, sb, provenance,
-          diagnostics) -> bool:
-    """Give every transition of ``members`` the lifted ``local`` bound, or,
-    if it lifts to ω, note the entries that blocked it under ``label``."""
-    lifted = lift_local_bound(local, entries, rb, sb)
-    if is_omega(lifted):
-        blocking = [r.tid for r in entries if is_omega(rb[r.tid])]
-        diagnostics.append(
-            f"{label} blocked by entries: " + (",".join(blocking) or "size bounds")
-        )
-        return False
-    for t in members:
-        rb[t.tid] = lifted
-        provenance[t.tid] = technique
-    return True
+    def lift(self, local, entries, members, technique, label) -> bool:
+        """Give every transition of ``members`` the lifted ``local`` bound, or,
+        if it lifts to ω, note the entries that blocked it under ``label``."""
+        lifted = lift_local_bound(local, entries, self.rb, self.sb)
+        if is_omega(lifted):
+            blocking = [r.tid for r in entries if is_omega(self.rb[r.tid])]
+            self.diagnostics.append(
+                f"{label} blocked by entries: " + (",".join(blocking) or "size bounds")
+            )
+            return False
+        for t in members:
+            self.rb[t.tid] = lifted
+            self.provenance[t.tid] = technique
+        return True

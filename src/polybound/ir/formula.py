@@ -21,9 +21,7 @@ from .poly import Polynomial
 class DnfCapExceeded(Exception):
     """Raised when DNF expansion would exceed the configured clause cap."""
 
-    def __init__(self, needed: int, cap: int):
-        self.needed = needed
-        self.cap = cap
+    def __init__(self, cap: int):
         super().__init__(f"DNF expansion needs more than {cap} clauses")
 
 
@@ -169,7 +167,7 @@ def _dnf(f: Formula, cap: int) -> list[list[Atom]]:
         for c in f.children:
             out.extend(_dnf(c, cap))
             if len(out) > cap:
-                raise DnfCapExceeded(len(out), cap)
+                raise DnfCapExceeded(cap)
         return out
     # And: distribute
     result: list[list[Atom]] = [[]]
@@ -184,6 +182,6 @@ def _dnf(f: Formula, cap: int) -> list[list[Atom]]:
                         clause.append(a)
                 merged.append(clause)
                 if len(merged) > cap:
-                    raise DnfCapExceeded(len(merged), cap)
+                    raise DnfCapExceeded(cap)
         result = merged
     return result

@@ -1,4 +1,4 @@
-"""Parser and printer for the rule-based input format.
+"""Parser for the rule-based input format.
 
 Accepted shape (whitespace insensitive, UTF-8)::
 

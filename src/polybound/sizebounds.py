@@ -35,7 +35,6 @@ from .bounds import (
     bound_vars,
     bprod,
     bsum,
-    is_omega,
     simplify,
 )
 from .ir import Polynomial, Program, Transition, entry_transitions
@@ -91,6 +90,38 @@ def size_bounds_for_scc(
         if all(t.update[v] == Polynomial.var(v) for t in scc)
     }
 
+    def bound(t: Transition, v: str) -> Bound:
+        # R2b: the update reads only component-invariant variables
+        if t.update[v].variables() <= invariant:
+            return _composed_bound(p, t, v, sb)
+
+        # R3: additive counter across the whole component
+        resets: list[Bound] = []
+        increments: list[Bound] = []
+        for t2 in scc:
+            rhs = t2.update[v]
+            if rhs == Polynomial.var(v):
+                continue
+            if rhs.is_const and rhs.is_integral():
+                resets.append(Const(abs(int(rhs.const_value()))))
+            elif (diff := rhs - Polynomial.var(v)).is_const and diff.is_integral():
+                increments.append(bprod([Const(abs(int(diff.const_value()))), rb[t2.tid]]))
+            else:
+                break
+        else:
+            return simplify(bsum([_sum_over(entries, v, sb), *resets, *increments]))
+
+        # R4: a twn self-loop (past the branch above, a unit of one
+        # transition is one) with a finite local bound
+        analysis = twn_analyses.get(t.tid) if len(scc) == 1 else None
+        if analysis is not None and analysis.iteration_bound is not None:
+            raw = twn_size_bound(analysis, v)
+            mapping = {w: _sum_over(entries, w, sb) for w in bound_vars(raw)}
+            return simplify(bound_subst(raw, mapping))
+
+        # R5
+        return INFINITE
+
     # R2 first: these values feed R2b within the same pass.
     for v in invariant:
         value = _sum_over(entries, v, sb)
@@ -99,61 +130,6 @@ def size_bounds_for_scc(
 
     for t in scc:
         for v in p.vars:
-            if v in invariant:
-                continue
-            sb[(t.tid, v)] = _scc_bound(p, t, v, scc, entries, invariant, rb, sb,
-                                        twn_analyses)
+            if v not in invariant:
+                sb[(t.tid, v)] = bound(t, v)
     return sb
-
-
-def _scc_bound(
-    p: Program,
-    t: Transition,
-    v: str,
-    scc: list[Transition],
-    entries: list[Transition],
-    invariant: set[str],
-    rb: dict[str, Bound],
-    sb: SizeBoundMap,
-    twn_analyses: dict[str, TwnAnalysis],
-) -> Bound:
-    # R2b: the update reads only component-invariant variables
-    if t.update[v].variables() <= invariant:
-        return _composed_bound(p, t, v, sb)
-
-    # R3: additive counter across the whole component
-    increments: list[tuple[str, int]] = []
-    resets: list[int] = []
-    additive = True
-    for t2 in scc:
-        rhs = t2.update[v]
-        if rhs == Polynomial.var(v):
-            continue
-        if rhs.is_const and rhs.is_integral():
-            resets.append(abs(int(rhs.const_value())))
-            continue
-        diff = rhs - Polynomial.var(v)
-        if diff.is_const and diff.is_integral():
-            increments.append((t2.tid, abs(int(diff.const_value()))))
-            continue
-        additive = False
-        break
-    if additive:
-        parts: list[Bound] = [_sum_over(entries, v, sb)]
-        for c in resets:
-            parts.append(Const(c))
-        for tid, c in increments:
-            parts.append(bprod([Const(c), rb[tid]]))
-        return simplify(bsum(parts))
-
-    # R4: twn self-loop component with a finite local bound
-    if len(scc) == 1 and scc[0].is_self_loop:
-        analysis = twn_analyses.get(t.tid)
-        if analysis is not None and analysis.iteration_bound is not None:
-            raw = twn_size_bound(analysis, v)
-            if not is_omega(raw):
-                mapping = {w: _sum_over(entries, w, sb) for w in bound_vars(raw)}
-                return simplify(bound_subst(raw, mapping))
-
-    # R5
-    return INFINITE

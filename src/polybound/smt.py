@@ -126,13 +126,23 @@ def launch_command(solver: list[str]) -> list[str]:
 # -- script emission -----------------------------------------------------------
 
 
-def poly_to_sexpr(p) -> str:
+def script_symbols(names) -> dict[str, str]:
+    """The symbol each of ``names`` has in a script: ``k`` and the name's
+    rank in sorted order, zero-padded so that the symbols sort as the names
+    do.  Program names may hold ``'``, non-ASCII letters or SMT-LIB words
+    such as ``and``, none of which a script may declare."""
+    ordered = sorted(set(names))
+    width = max(2, len(str(len(ordered) - 1)))
+    return {v: f"k{i:0{width}}" for i, v in enumerate(ordered)}
+
+
+def poly_to_sexpr(p, symbol: dict[str, str]) -> str:
     """Powers are expanded to products; SMT-LIB has no integer power."""
     terms = []
     for mono, coeff in p.sorted_terms():
         factors = [_frac_sexpr(coeff)] if (coeff != 1 or not mono) else []
         for v, e in mono:
-            factors.extend([v] * e)
+            factors.extend([symbol[v]] * e)
         terms.append(factors[0] if len(factors) == 1 else "(* " + " ".join(factors) + ")")
     if not terms:
         return "0"
@@ -166,30 +176,31 @@ def _digit_count(n: int) -> int:
     return k
 
 
-def formula_to_sexpr(f: Formula) -> str:
+def formula_to_sexpr(f: Formula, symbol: dict[str, str]) -> str:
     if isinstance(f, Atom):
-        return f"(> {poly_to_sexpr(f.poly)} 0)"
+        return f"(> {poly_to_sexpr(f.poly, symbol)} 0)"
     op = "and" if isinstance(f, And) else "or"
-    return f"({op} " + " ".join(formula_to_sexpr(c) for c in f.children) + ")"
+    return f"({op} " + " ".join(formula_to_sexpr(c, symbol) for c in f.children) + ")"
 
 
 def int_script(f: Formula) -> str:
+    symbol = script_symbols(formula_vars(f))
     lines = ["(set-logic QF_NIA)"]
-    for v in sorted(formula_vars(f)):
-        lines.append(f"(declare-const {v} Int)")
-    lines.append(f"(assert {formula_to_sexpr(f)})")
+    for s in symbol.values():
+        lines.append(f"(declare-const {s} Int)")
+    lines.append(f"(assert {formula_to_sexpr(f, symbol)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
 def real_script(constraints: list[LinearConstraint]) -> str:
+    symbol = script_symbols(v for c in constraints for v, _ in c.coeffs)
     lines = ["(set-logic QF_NRA)"]
-    names = sorted({v for c in constraints for v, _ in c.coeffs})
-    for v in names:
-        lines.append(f"(declare-const {v} Real)")
+    for s in symbol.values():
+        lines.append(f"(declare-const {s} Real)")
     for c in constraints:
-        parts = [f"(* {_frac_sexpr(k)} {v})" for v, k in c.coeffs]
+        parts = [f"(* {_frac_sexpr(k)} {symbol[v]})" for v, k in c.coeffs]
         if c.const != 0 or not parts:
             parts.append(_frac_sexpr(c.const))
         body = parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
@@ -323,7 +334,8 @@ class SmtContext:
 
     def _decide(self, query, presolved, write_script, unknowns) -> SmtResult:
         """The in-process answer to ``query``, if there is one, or else the
-        solver's; its model gives 0 to every unknown it leaves out."""
+        solver's, with its model read back through :func:`script_symbols`;
+        the model gives 0 to every unknown it leaves out."""
         result = presolved(query)
         if result is None:
             try:
@@ -331,6 +343,8 @@ class SmtContext:
             except UnwritableConstant as exc:
                 return SmtResult("unknown", reason=str(exc))
             result = _run_solver(script, self.timeout_ms, self.solver)
+            name = {s: v for v, s in script_symbols(unknowns(query)).items()}
+            result.model = {name[s]: x for s, x in result.model.items() if s in name}
             if result.is_sat or result.is_unsat:
                 self.decided += 1
             elif result.reason.startswith(PROCESS_FAILURES):

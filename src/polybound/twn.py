@@ -55,13 +55,11 @@ class NotSelfLoop(TwnRejection):
 
 class CyclicDependency(TwnRejection):
     def __init__(self, cycle: list[str]):
-        self.cycle = cycle
         super().__init__("cyclic variable dependencies: " + " -> ".join(cycle))
 
 
 class NonLinearSelfOccurrence(TwnRejection):
     def __init__(self, var: str):
-        self.var = var
         super().__init__(f"{var} occurs non-linearly in its own update")
 
 

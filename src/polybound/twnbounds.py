@@ -30,7 +30,6 @@ from .bounds import (
     bprod,
     bsum,
     Exp,
-    is_omega,
     simplify,
 )
 from .ir import (
@@ -129,12 +128,14 @@ def dominance_threshold(lower: tuple[int, int], upper: tuple[int, int]) -> int:
     asymptotic order (base major).
 
     Equal bases need a1 < a2, so the spare factor n fits degree-wise and
-    D = 1.  For b1 < b2 the ratio with e = max(0, a1+1-a2) is non-increasing
-    from the first n with ``(n+1)^e b1 <= n^e b2`` on, so past that point the
-    inequality, once true, stays true: gallop and bisect to the first n where
-    it holds.  Only when that is the turning point itself can a failure lie
-    below it, and then a scan finds the last one.  Exact integer arithmetic
-    throughout; nothing above SEARCH_CAP is evaluated.
+    D = 1.  For b1 < b2 (bases are naturals >= 1) the inequality says the
+    ratio ``n^(a1+1-a2) * (b1/b2)^n`` is at most 1.  With e = max(0,
+    a1+1-a2), the ratio is non-increasing from the first n with
+    ``(n+1)^e b1 <= n^e b2`` on, so past that turning point the inequality,
+    once true, stays true: gallop and bisect to the first n where it holds.
+    Below the turning point the ratio increases, so if the inequality holds
+    there it holds at every smaller n too, and D = 1.  Exact integer
+    arithmetic throughout; nothing above SEARCH_CAP is evaluated.
     """
     a1, b1 = lower
     a2, b2 = upper
@@ -153,8 +154,7 @@ def dominance_threshold(lower: tuple[int, int], upper: tuple[int, int]) -> int:
         if n_dec > SEARCH_CAP:
             raise CapExceeded("ratio never turns non-increasing")
     if holds(n_dec):
-        last_failure = max((m for m in range(1, n_dec) if not holds(m)), default=0)
-        return last_failure + 1
+        return 1
     lo, step = n_dec, 1  # holds(lo) is false
     while True:
         hi = min(lo + step, SEARCH_CAP)
@@ -299,10 +299,11 @@ def twn_size_bound(analysis: TwnAnalysis, v: str) -> Bound:
     Each closed-form addend ``q * n^a * b^n`` is bounded by its coefficient
     magnitude times the extremal value at n = R + start; iterated updates
     cover the runs below that start, and each proper prefix of the path the
-    states inside a run.
+    states inside a run.  Every part is finite, since the iteration bound
+    (:func:`stabilization_bound`) is.
     """
     R = analysis.iteration_bound
-    if R is None or is_omega(R):
+    if R is None:
         return INFINITE
     reach = simplify(bsum([R, Const(analysis.cf.start)]))
     early = list(iterates(analysis.loop.update, analysis.cf.start))

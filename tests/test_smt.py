@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -18,7 +19,7 @@ import polybound.smt
 from polybound import minismt
 from polybound.engine import AnalysisConfig, analyze
 from polybound.ir import (
-    Atom, Polynomial, eval_formula, formula_vars, mk_and, mk_or, parse_program,
+    Atom, Polynomial, eval_formula, formula_vars, mk_and, mk_or, parse_program, substitute,
 )
 from polybound.minismt import parse_sexprs, solve_lp
 from polybound.smt import (
@@ -31,6 +32,7 @@ from polybound.smt import (
     parse_reply,
     real_script,
     resolve_solver,
+    script_symbols,
 )
 
 from conftest import (
@@ -59,8 +61,8 @@ def test_int_script_golden():
     assert int_script(f) == textwrap.dedent(
         """\
         (set-logic QF_NIA)
-        (declare-const x Int)
-        (assert (and (> x 0) (> (+ (* (- 1) x) 3) 0)))
+        (declare-const k00 Int)
+        (assert (and (> k00 0) (> (+ (* (- 1) k00) 3) 0)))
         (check-sat)
         (get-model)
         """
@@ -69,7 +71,7 @@ def test_int_script_golden():
 
 def test_int_script_nonlinear_powers_expand_to_products():
     script = int_script(Atom(-(x**2) + 1))
-    assert "(* (- 1) x x)" in script
+    assert "(* (- 1) k00 k00)" in script
     assert "^" not in script
 
 
@@ -81,14 +83,55 @@ def test_real_script_golden():
     assert real_script(constraints) == textwrap.dedent(
         """\
         (set-logic QF_NRA)
-        (declare-const a Real)
-        (declare-const b Real)
-        (assert (>= (+ (* 1 a) (* (- (/ 1 2)) b) 1) 0))
-        (assert (= (* 1 a) 0))
+        (declare-const k00 Real)
+        (declare-const k01 Real)
+        (assert (>= (+ (* 1 k00) (* (- (/ 1 2)) k01) 1) 0))
+        (assert (= (* 1 k00) 0))
         (check-sat)
         (get-model)
         """
     )
+
+
+# SMT-LIB 2.6's simple symbols, and words of the language and of its core and
+# integer theories that no script may declare
+SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_+=<>.?/-][0-9A-Za-z~!@$%^&*_+=<>.?/-]*\Z")
+BUILTINS = {"and", "or", "not", "xor", "=>", "true", "false", "ite", "distinct",
+            "div", "mod", "abs", "let", "forall", "exists", "match", "par", "as", "_", "!"}
+PRIMED_AND = """\
+(GOAL COMPLEXITY)
+(STARTTERM (FUNCTIONSYMBOLS l0))
+(VAR x' and)
+(RULES
+  l0(x',and) -> l1(x',and)
+  l1(x',and) -> l1(x'-and,and) :|: x' > 0
+)
+"""
+
+
+def test_scripts_name_unknowns_by_simple_symbols_that_are_not_builtins():
+    scripts = []
+
+    class Recording(SmtContext):
+        def sat_int(self, f):
+            scripts.append(int_script(f))
+            return super().sat_int(f)
+
+        def sat_real(self, constraints):
+            scripts.append(real_script(constraints))
+            return super().sat_real(constraints)
+
+    for twn, ranking in ((True, False), (False, True)):  # --no-ranking, --no-twn
+        cfg = AnalysisConfig(twn_enabled=twn, ranking_enabled=ranking,
+                             smt=Recording(solver=FALLBACK))
+        analyze(parse_program(PRIMED_AND), cfg)
+    assert {script.split("\n")[0] for script in scripts} == {
+        "(set-logic QF_NIA)", "(set-logic QF_NRA)"}
+    for script in scripts:
+        for token in re.findall(r"[^\s()]+", script):
+            assert (token.isascii() and token.isdigit()) or SIMPLE_SYMBOL.match(token), script
+        declared = {cmd[1] for cmd in parse_sexprs(script) if cmd[0] == "declare-const"}
+        assert declared and not declared & BUILTINS, script
 
 
 # -- results through the bundled solver -----------------------------------------
@@ -261,7 +304,7 @@ def test_infeasible_system_starts_no_solver(tmp_path):
 
 def test_feasible_system_keeps_the_solvers_model(tmp_path):
     ctx = SmtContext(stub_solver(
-        tmp_path, "echo sat\necho '((define-fun a () Real 7.0))'\n"))
+        tmp_path, "echo sat\necho '((define-fun k00 () Real 7.0))'\n"))
     result = ctx.sat_real(INFEASIBLE[:1])  # a >= 1; the simplex would pick a = 1
     assert result.is_sat
     assert result.model == {"a": Fraction(7)}
@@ -322,7 +365,7 @@ def test_unrefuted_int_query_keeps_the_solvers_model(tmp_path, monkeypatch):
     monkeypatch.setattr(minismt, "solve_lp", forbidden)
     monkeypatch.setattr(minismt, "_integer_hunt", forbidden)
     ctx = SmtContext(stub_solver(
-        tmp_path, "echo sat\necho '((define-fun x () Int 7))'\n"))
+        tmp_path, "echo sat\necho '((define-fun k00 () Int 7))'\n"))
     result = ctx.sat_int(mk_and([Atom(x - 2), Atom(-x + 9)]))  # the child would pick x = 3
     assert result.is_sat
     assert result.model == {"x": Fraction(7)}
@@ -342,10 +385,10 @@ def test_int_query_with_a_rowless_first_clause_starts_no_solver(tmp_path):
 
 def test_int_query_with_rows_left_in_its_first_unrefuted_clause_goes_to_the_solver(tmp_path):
     ctx = SmtContext(stub_solver(
-        tmp_path, "echo sat\necho '((define-fun x () Int 7) (define-fun y () Int 7))'\n"))
+        tmp_path, "echo sat\necho '((define-fun k00 () Int 7) (define-fun k01 () Int 6))'\n"))
     # a later clause would keep no row, but the child answers the first
     result = ctx.sat_int(mk_or([Atom(x - 2), Atom(-(y**2) + 1)]))
-    assert result.model == {"x": 7, "y": 7}
+    assert result.model == {"x": 7, "y": 6}
     assert ctx.decided == 1
 
 
@@ -389,7 +432,7 @@ def assert_bundled_answer(f, status: str, model: dict, reply: str):
     assert replied == status, int_script(f)
     if status == "sat":
         zero = dict.fromkeys(formula_vars(f), 0)
-        assert parse_model(rest) == model == zero, int_script(f)
+        assert named(parse_model(rest), formula_vars(f)) == model == zero, int_script(f)
         assert eval_formula(f, zero), f
 
 
@@ -574,13 +617,19 @@ def read_back(script: str, read) -> list:
 @settings(max_examples=200)
 @given(int_formulas())
 def test_int_script_reads_back_as_its_formula(f):
-    assert read_back(int_script(f), minismt.int_formula) == [f]
+    symbol = script_symbols(formula_vars(f))
+    renamed = substitute(f, {v: Polynomial.var(s) for v, s in symbol.items()})
+    assert read_back(int_script(f), minismt.int_formula) == [renamed]
 
 
 @settings(max_examples=200)
 @given(lp_systems())
 def test_real_script_reads_back_as_its_rows(rows):
-    assert read_back(real_script(rows), minismt.real_row) == rows
+    # the symbols sort as the names do, so each row keeps its order of terms
+    symbol = script_symbols(v for r in rows for v, _ in r.coeffs)
+    renamed = [LinearConstraint.make({symbol[v]: k for v, k in r.coeffs}, r.const, r.rel)
+               for r in rows]
+    assert read_back(real_script(rows), minismt.real_row) == renamed
 
 
 def test_real_script_without_constants_is_read_as_real():
@@ -612,7 +661,7 @@ def test_integer_search_rejects_a_fractional_row():
 def test_bundled_int_disjunction_has_model():
     f = mk_and([mk_or([Atom(x - 5), Atom(-y - 8)]), Atom(x - y + 1)])
     result = procedure_reply(int_script(f))
-    assert result.is_sat and eval_formula(f, result.model)
+    assert result.is_sat and eval_formula(f, named(result.model, formula_vars(f)))
 
 
 @pytest.mark.parametrize("assertion", ["(or (> x 1) (< x 0))", "(>= (+ (* x x) (- 1)) 0)"])
@@ -682,7 +731,7 @@ def child_reply(script: str) -> tuple[str, dict[str, Fraction]]:
 
 def test_bundled_process_answers_an_int_script():
     verdict, model = child_reply(int_script(mk_and([Atom(x - 2), Atom(-x + 4)])))
-    assert (verdict, model) == ("sat", {"x": 3})
+    assert (verdict, model) == ("sat", {"k00": 3})
 
 
 def test_bundled_process_writes_a_model_larger_than_a_pipe_buffer():
@@ -716,6 +765,7 @@ def test_bundled_process_answers_a_real_script():
         LinearConstraint.make({"b": -1}, 5, ">="),  # b <= 5
     ]
     verdict, model = child_reply(real_script(rows))
+    model = named(model, "ab")
     assert verdict == "sat"
     assert 2 * model["a"] == model["b"] and model["a"] + model["b"] >= 2 and model["b"] <= 5
     assert child_reply(real_script(rows + [LinearConstraint.make({"a": -1}, 0, ">=")])) == (
@@ -724,6 +774,11 @@ def test_bundled_process_answers_a_real_script():
 
 
 # -- how a query starts the bundled solver --------------------------------------
+
+
+def named(model: dict, names) -> dict:
+    """``model``, a reply's to a script over ``names``, by those names."""
+    return {v: model[s] for v, s in script_symbols(names).items() if s in model}
 
 
 def procedure_reply(script: str):
@@ -766,7 +821,8 @@ def test_bundled_query_ignores_a_shadowing_working_directory(tmp_path, monkeypat
     f = mk_and([Atom(x - 2), Atom(-x + 4)])
     result = BUNDLED.sat_int(f)
     expected = procedure_reply(int_script(f))
-    assert (result.status, result.model) == (expected.status, expected.model) == ("sat", {"x": 3})
+    assert (result.status, result.model) == (expected.status, named(expected.model, "x")) == (
+        "sat", {"x": 3})
 
 
 def test_bundled_query_keeps_the_parents_limit_on_integer_strings():
@@ -779,7 +835,8 @@ def test_bundled_query_keeps_the_parents_limit_on_integer_strings():
         expected = procedure_reply(real_script(rows))
     finally:
         sys.set_int_max_str_digits(limit)
-    assert (result.status, result.model) == (expected.status, expected.model) == ("sat", {"a": c})
+    assert (result.status, result.model) == (expected.status, named(expected.model, "a")) == (
+        "sat", {"a": c})
 
 
 def test_bundled_query_from_a_no_bytecode_parent_writes_no_bytecode(tmp_path):
