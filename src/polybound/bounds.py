@@ -268,52 +268,35 @@ class AsymptoticClass:
         return "infinite"
 
 
-_ORDER = {"const": 0, "poly": 1, "exp": 2, "inf": 3}
-
-
 def asymptotic_class(b: Bound) -> AsymptoticClass:
-    """Growth class of ``b`` as a function of n with every variable set to n."""
-    kind, degree, zero = _classify(simplify(b))
-    if kind == "poly" and degree == 0:
-        kind = "const"
-    return AsymptoticClass(kind, degree if kind == "poly" else 0)
+    """Growth class of ``b`` as a function of n with every variable set to n.
+
+    Read off the simplified bound: there ω stands only for the whole bound,
+    no product has a zero factor, and every ``Exp`` has a base of at least 2
+    and a non-constant exponent, so it grows exponentially.
+    """
+    b = simplify(b)
+    if is_omega(b):
+        return AsymptoticClass("inf")
+    degree = _degree(b)
+    if degree is None:
+        return AsymptoticClass("exp")
+    return AsymptoticClass("poly", degree) if degree else AsymptoticClass("const")
 
 
-def _classify(b: Bound) -> tuple[str, int, bool]:
-    # returns (kind, poly degree, is the zero constant)
+def _degree(b: Bound) -> int | None:
+    """Polynomial degree of a simplified finite bound; None if it holds an
+    exponential."""
     if isinstance(b, Const):
-        if isinstance(b.value, _Omega):
-            return "inf", 0, False
-        return "const", 0, b.value == 0
+        return 0
     if isinstance(b, Var):
-        return "poly", 1, False
-    if isinstance(b, Sum):
-        kind, degree = "const", 0
-        for part in b.parts:
-            k, d, _ = _classify(part)
-            if _ORDER[k] > _ORDER[kind]:
-                kind = k
-            degree = max(degree, d)
-        return kind, degree if kind == "poly" else 0, False
-    if isinstance(b, Prod):
-        kind, degree = "const", 0
-        for part in b.parts:
-            k, d, z = _classify(part)
-            if z:
-                return "const", 0, True  # zero factor nullifies the product
-            if _ORDER[k] > _ORDER[kind]:
-                kind = k
-            degree += d
-        return kind, degree if kind == "poly" else 0, False
-    # exponential
-    k, d, z = _classify(b.exponent)
-    if b.base == 1:
-        return "const", 0, False
-    if k == "inf":
-        return "inf", 0, False
-    if k == "const":
-        return "const", 0, False
-    return "exp", 0, False
+        return 1
+    if isinstance(b, Exp):
+        return None
+    degrees = [_degree(part) for part in b.parts]
+    if None in degrees:
+        return None
+    return max(degrees) if isinstance(b, Sum) else sum(degrees)
 
 
 # -- printing -----------------------------------------------------------------

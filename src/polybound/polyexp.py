@@ -134,13 +134,8 @@ def pe_substitute(p: Polynomial, assignment: Mapping[str, PolyExp]) -> PolyExp:
     return result
 
 
-def pe_values(x: PolyExp, state: Mapping[str, int], n: int) -> list[Fraction]:
-    """The value of each addend of ``x`` at ``state`` and ``n``."""
-    return [q.evaluate(state) * n**a * b**n for q, a, b in x.addends]
-
-
 def pe_eval(x: PolyExp, state: Mapping[str, int], n: int) -> Fraction:
-    return sum(pe_values(x, state, n), Fraction(0))
+    return sum((q.evaluate(state) * n**a * b**n for q, a, b in x.addends), Fraction(0))
 
 
 def pe_shift(x: PolyExp, j: int) -> PolyExp:

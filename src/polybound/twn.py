@@ -3,16 +3,17 @@
 A path's guard and update (``compose``) are those of running its transitions
 in order.  A self-loop qualifies when its variables can be ordered so that
 each update is ``c_i * x_i + p_i`` with a constant self-coefficient ``c_i``
-and ``p_i`` mentioning only strictly later variables: the dependency graph is
-acyclic and no variable occurs non-linearly in its own update.  Its path is
+and ``p_i`` mentioning only strictly earlier variables: the dependency graph
+is acyclic and no variable occurs non-linearly in its own update.
+``TwnLoop.order`` is such an order, dependencies first.  Its path is
 the loop itself, or the loop twice when a self-coefficient is negative, which
 squares the coefficients.  A bound B on the runs of a path of k transitions
 gives k*B + k - 1 steps of them (2*B + 1 at k = 2).
 
-Closed forms are computed variable by variable in reverse dependency order.
-With cl(later) already known, the recurrence ``x^(k+1) = c*x^(k) + p(...)``
+Closed forms are computed variable by variable along ``order``.
+With cl(earlier) already known, the recurrence ``x^(k+1) = c*x^(k) + p(...)``
 unrolls to ``c^n * x + sum_{k<n} c^(n-1-k) * g(k)`` where ``g`` is ``p``
-composed with the later closed forms.  Each addend ``q * n^a * b^n`` of
+composed with the earlier closed forms.  Each addend ``q * n^a * b^n`` of
 ``g`` is summed by one exact kernel, ``polyexp.power_sum`` at ratio ``b/c``;
 ``c = 0`` degenerates to a single shifted evaluation and bumps the validity
 start.  When an inner closed form is only valid from some ``m > 0`` on, the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterator
 
 from .ir import (
@@ -48,27 +50,12 @@ class TwnRejection(Exception):
     """The transition is not analyzable as a twn self-loop."""
 
 
-class NotSelfLoop(TwnRejection):
-    def __init__(self, t: Transition):
-        super().__init__(f"{t.tid} is not a self-loop ({t.src} -> {t.tgt})")
-
-
-class CyclicDependency(TwnRejection):
-    def __init__(self, cycle: list[str]):
-        super().__init__("cyclic variable dependencies: " + " -> ".join(cycle))
-
-
-class NonLinearSelfOccurrence(TwnRejection):
-    def __init__(self, var: str):
-        super().__init__(f"{var} occurs non-linearly in its own update")
-
-
 @dataclass(frozen=True)
 class TwnLoop:
     guard: Formula
     update: dict[str, Polynomial]
-    order: tuple[str, ...]  # update of order[i] mentions only later entries
-    coeffs: dict[str, int]  # self-coefficients, all >= 0
+    order: tuple[str, ...]  # each rest reads only earlier entries
+    steps: dict[str, tuple[int, Polynomial]]  # update[v] = c * v + rest, c >= 0
     path: tuple[Transition, ...]  # guard and update are its composition
 
 
@@ -81,63 +68,34 @@ class ClosedForm:
         return self.values[var]
 
 
-def _split_update(var: str, rhs: Polynomial) -> tuple[Fraction, Polynomial]:
-    """Split ``rhs`` as ``c * var + rest``; rejects non-linear self-occurrence."""
-    c = Fraction(0)
-    rest: dict = {}
-    for mono, coeff in rhs.items():
-        occurs = any(v == var for v, _ in mono)
-        if not occurs:
-            rest[mono] = coeff
-            continue
-        if mono == ((var, 1),):
-            c = coeff
-        else:
-            raise NonLinearSelfOccurrence(var)
-    return c, Polynomial(rest)
-
-
-def _check_structure(
-    variables: tuple[str, ...], update: dict[str, Polynomial]
-) -> tuple[tuple[str, ...], dict[str, int]]:
-    """Topological order and self-coefficients; raises on cycles."""
-    splits = {v: _split_update(v, update[v]) for v in variables}
-    deps = {v: splits[v][1].variables() - {v} for v in variables}
-
-    index = {v: i for i, v in enumerate(variables)}
-    order: list[str] = []
-    remaining = set(variables)
-    # Kahn's algorithm on the dependency graph.  Variables whose updates read
-    # nothing still pending are placed first and the list is reversed, so the
-    # final order puts every variable before its dependencies; ties break on
-    # declaration index for deterministic output.
-    while remaining:
-        ready = sorted(
-            (v for v in remaining if not (deps[v] & remaining)),
-            key=lambda v: -index[v],
-        )
-        if not ready:
-            cycle = _find_cycle(deps, remaining)
-            raise CyclicDependency(cycle)
-        v = ready[0]
-        remaining.discard(v)
-        order.append(v)
-    order.reverse()  # dependencies of earlier entries come later
-
-    # integral: programs validate their updates so, and composition keeps it
-    coeffs = {v: splits[v][0].numerator for v in variables}
-    return tuple(order), coeffs
-
-
-def _find_cycle(deps: dict[str, frozenset], remaining: set[str]) -> list[str]:
-    node = min(remaining)
-    seen: list[str] = []
-    while node not in seen:
-        seen.append(node)
-        nxt = sorted(d for d in deps[node] if d in remaining)
-        node = nxt[0]
-    start = seen.index(node)
-    return seen[start:] + [node]
+def _triangular(
+    update: dict[str, Polynomial]
+) -> tuple[tuple[str, ...], dict[str, tuple[int, Polynomial]]]:
+    """Split each update once as ``c * var + rest`` and order the variables,
+    dependencies first; rejects non-linear self-occurrence and cycles."""
+    steps = {}
+    for var, rhs in update.items():
+        c, rest = 0, {}
+        for mono, coeff in rhs.items():
+            if mono == ((var, 1),):
+                # integral: programs validate their updates so, and
+                # composition keeps it
+                c = coeff.numerator
+            elif any(v == var for v, _ in mono):
+                raise TwnRejection(f"{var} occurs non-linearly in its own update")
+            else:
+                rest[mono] = coeff
+        steps[var] = (c, Polynomial(rest))
+    # sorted, so that the order does not depend on string hashing
+    graph = {var: sorted(rest.variables()) for var, (_, rest) in steps.items()}
+    try:
+        order = tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        # listed from each dependency to its reader: reverse to read along
+        # the updates
+        cycle = " -> ".join(reversed(exc.args[1]))
+        raise TwnRejection(f"cyclic variable dependencies: {cycle}") from None
+    return order, steps
 
 
 def compose(path: tuple[Transition, ...]) -> tuple[Formula, dict[str, Polynomial]]:
@@ -164,29 +122,25 @@ def twn_check(t: Transition) -> TwnLoop:
     """Validate a self-loop as twn, composing it with itself when a
     self-coefficient is negative."""
     if not t.is_self_loop:
-        raise NotSelfLoop(t)
-    variables = tuple(t.update.keys())
-    _, coeffs = _check_structure(variables, t.update)
-    path = (t,) if all(c >= 0 for c in coeffs.values()) else (t, t)
+        raise TwnRejection(f"{t.tid} is not a self-loop ({t.src} -> {t.tgt})")
+    _, steps = _triangular(t.update)
+    path = (t,) if all(c >= 0 for c, _ in steps.values()) else (t, t)
     guard, update = compose(path)
-    order, coeffs = _check_structure(variables, update)
-    assert all(c >= 0 for c in coeffs.values()), "doubled self-coefficients are squares"
-    return TwnLoop(guard, update, order, coeffs, path)
+    order, steps = _triangular(update)
+    assert all(c >= 0 for c, _ in steps.values()), "doubled self-coefficients are squares"
+    return TwnLoop(guard, update, order, steps, path)
 
 
 def closed_form(loop: TwnLoop) -> ClosedForm:
     """Per-variable poly-exponential closed forms, exact for n >= start."""
     values: dict[str, PolyExp] = {}
     var_start: dict[str, int] = {}
-    for var in reversed(loop.order):
-        c = loop.coeffs[var]
-        _, p = _split_update(var, loop.update[var])
-        inner_start = max(
-            (var_start[w] for w in p.variables() if w != var), default=0
-        )
+    for var in loop.order:
+        c, p = loop.steps[var]
+        inner_start = max((var_start[w] for w in p.variables()), default=0)
         g = pe_substitute(p, values) if not p.is_zero else PE_ZERO
         if c == 0:
-            # x^(n) = p(later at n-1); exact once the inner forms are.
+            # x^(n) = p(earlier at n-1); exact once the inner forms are.
             values[var] = pe_shift(g, 1)
             var_start[var] = inner_start + 1
             continue

@@ -130,6 +130,11 @@ def test_asymptotic_classes():
     assert asymptotic_class(Exp(2, Var("x"))) == AsymptoticClass("exp")
     assert asymptotic_class(Const(OMEGA)) == AsymptoticClass("inf")
     assert asymptotic_class(Exp(2, Const(7))) == AsymptoticClass("const")
+    assert asymptotic_class(Exp(1, Var("x"))) == AsymptoticClass("const")
+    assert asymptotic_class(Exp(2, Const(3))) == AsymptoticClass("const")
+    assert asymptotic_class(Prod((Const(0), Exp(2, Var("x"))))) == AsymptoticClass("const")
+    cubic = Prod((Var("x"), Var("x"), Var("x")))
+    assert asymptotic_class(Sum((Exp(2, Var("x")), cubic))) == AsymptoticClass("exp")
     assert str(AsymptoticClass("poly", 1)) == "O(n)"
     assert str(AsymptoticClass("poly", 6)) == "O(n^6)"
 

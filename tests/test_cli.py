@@ -115,6 +115,18 @@ def test_closed_form_past_its_cap_is_omega():
     assert f"Loop t1: unsupported (closed form too large: {PAST_THE_CAP})" in proc.stdout
 
 
+# The solver's model x = 0, y = 1 stabilizes only where n * 2^(n-1) outweighs
+# 10^7 * 2^n, past n = 2 * 10^7, so a scan up to the dominance search's cap of
+# 10^6 ran for about an hour before giving up.
+WITNESS_SCAN = str(Path(__file__).resolve().parent / "data" / "caps" / "witness_scan.its")
+
+
+def test_witness_scan_stops_at_its_cap():
+    proc = run_python(["-m", "polybound.cli", "analyze", WITNESS_SCAN], timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Loop t1: unknown (stabilization search cap)" in proc.stdout
+
+
 def test_closed_form_command_past_the_cap_is_not_analyzable(capsys):
     assert main(["closed-form", BLOWUP, "--transition", "t1"]) == 2
     assert capsys.readouterr().err == f"not analyzable: {PAST_THE_CAP}\n"

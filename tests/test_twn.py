@@ -4,18 +4,11 @@ import pytest
 
 from polybound.ir import Atom, Polynomial, TRUE, Transition, eval_formula, normalize_atom
 from polybound.polyexp import PolyExp, pe_eval
-from polybound.twn import (
-    CyclicDependency,
-    NonLinearSelfOccurrence,
-    NotSelfLoop,
-    closed_form,
-    compose,
-    twn_check,
-)
+from polybound.twn import TwnRejection, closed_form, compose, twn_check
 
 from conftest import iterate_update, random_twn_transition
 
-x, x1, x2, x3 = (Polynomial.var(v) for v in ("x", "x1", "x2", "x3"))
+a, x, x1, x2, x3 = (Polynomial.var(v) for v in ("a", "x", "x1", "x2", "x3"))
 
 
 def self_loop(update, guard=TRUE) -> Transition:
@@ -25,26 +18,39 @@ def self_loop(update, guard=TRUE) -> Transition:
 def test_triangular_loop_accepted():
     t = self_loop({"x1": x1 + x2**2, "x2": x2 + 1})
     loop = twn_check(t)
-    assert loop.order == ("x1", "x2")
-    assert loop.coeffs == {"x1": 1, "x2": 1}
+    assert loop.order == ("x2", "x1")
+    assert loop.steps == {"x1": (1, x2**2), "x2": (1, Polynomial.const(1))}
     assert loop.path == (t,)
 
 
 def test_cyclic_dependencies_rejected():
     t = self_loop({"x1": x1 + x2**2, "x2": x1 + 1})
-    with pytest.raises(CyclicDependency):
+    cycles = "x1 -> x2 -> x1|x2 -> x1 -> x2"
+    with pytest.raises(TwnRejection, match=f"^cyclic variable dependencies: ({cycles})$"):
         twn_check(t)
+
+
+def test_cycle_named_from_reader_to_variable_read():
+    # a is not on the cycle x1 -> x2 -> x3 -> x1, but reads x1, which is
+    t = self_loop({"a": a + x1, "x1": x2, "x2": x3, "x3": x1 + 1})
+    with pytest.raises(TwnRejection, match="^cyclic variable dependencies: ") as info:
+        twn_check(t)
+    cycle = str(info.value).removeprefix("cyclic variable dependencies: ").split(" -> ")
+    assert cycle[0] == cycle[-1]
+    assert sorted(cycle[:-1]) == ["x1", "x2", "x3"]
+    for reader, read in zip(cycle, cycle[1:]):
+        assert read in t.update[reader].variables()
 
 
 def test_nonlinear_self_occurrence_rejected():
     t = self_loop({"x1": x1 * x2, "x2": x2 + 1})
-    with pytest.raises(NonLinearSelfOccurrence):
+    with pytest.raises(TwnRejection, match="^x1 occurs non-linearly in its own update$"):
         twn_check(t)
 
 
 def test_non_self_loop_rejected():
     t = Transition("t", "l1", TRUE, {"x": x}, "l2")
-    with pytest.raises(NotSelfLoop):
+    with pytest.raises(TwnRejection, match=r"^t is not a self-loop \(l1 -> l2\)$"):
         twn_check(t)
 
 
@@ -97,7 +103,7 @@ def test_negative_coefficient_triggers_chaining():
     loop = twn_check(t)
     assert loop.path == (t, t)
     assert loop.update == {"x": 4 * x}
-    assert loop.coeffs == {"x": 4}
+    assert loop.steps == {"x": (4, Polynomial.zero())}
     # doubled guard: x > 0 and -2x > 0, unsatisfiable over the integers
     assert not any(eval_formula(loop.guard, {"x": v}) for v in range(-10, 11))
 
@@ -192,7 +198,9 @@ def test_order_is_topological():
         t = random_twn_transition(rng, allow_negative=False)
         loop = twn_check(t)
         position = {v: i for i, v in enumerate(loop.order)}
+        assert sorted(loop.order) == sorted(t.update)
         for v in loop.order:
-            rest = loop.update[v] - Polynomial.var(v).scale(loop.coeffs[v])
+            c, rest = loop.steps[v]
+            assert loop.update[v] == Polynomial.var(v).scale(c) + rest
             for w in rest.variables():
-                assert position[w] > position[v]
+                assert position[w] < position[v]
