@@ -11,11 +11,17 @@ nonterminating-witness and dominance paths that no fixture does.  At seeds 2,
 3, 5 and 11 their reports are pinned by digest, under the workload's
 configuration and the default one, so that a change which only reorders the
 terms of some bounds, and leaves the seed-1 and seed-7 reports alone, fails.
+
+The ranking systems the analyzer asks the solver to decide are pinned too,
+row for row and in order, by digest: the simplex's vertex, and with it every
+ranking function and bound, depends on each row's coefficients and place, but
+a reordered or rescaled row changes a report only where it moves that vertex.
 """
 
 import hashlib
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -43,14 +49,16 @@ def test_report_matches_golden(name):
     assert report_text(name) == (GOLDEN / f"{name}.json").read_text()
 
 
-def workload_reports(workload: str, seed: int, default: bool = False) -> list[dict]:
+def workload_reports(workload: str, seed: int, default: bool = False,
+                     smt: SmtContext | None = None) -> list[dict]:
     """The timing-free reports of a workload's programs, each analyzed under
-    its workload configuration or, with ``default``, the default one."""
+    its workload configuration or, with ``default``, the default one, by
+    ``smt`` or else a fresh context on the pinned solver."""
     reports = []
     for job in benchmark_jobs(workload, seed):
         twn, ranking = (True, True) if default else (job.twn, job.ranking)
         cfg = AnalysisConfig(twn_enabled=twn, ranking_enabled=ranking,
-                             smt=SmtContext(solver=BUNDLED))
+                             smt=smt or SmtContext(solver=BUNDLED))
         report = report_json(analyze(parse_program(job.text), cfg), job.pid)
         del report["timings"]
         reports.append(report)
@@ -69,9 +77,15 @@ def workload_golden(workload: str, seed: int) -> Path:
 @pytest.mark.parametrize("workload, seed", [
     pytest.param(workload, seed, id=workload if seed == 1 else f"{workload}-seed{seed}")
     for seed in (1, 7) for workload in ("ranking_wide", "twn_loops")
-])
+] + [pytest.param("fixtures", 1, id="fixtures")])
 def test_workload_reports_match_golden(workload, seed):
     assert workload_text(workload, seed) == workload_golden(workload, seed).read_text()
+
+
+def digest(value) -> str:
+    """The digest perfbench/harness.py computes of a run's reports."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 DIGESTS = json.loads((GOLDEN / "workload_digests.json").read_text())
@@ -85,7 +99,30 @@ DIGESTS = json.loads((GOLDEN / "workload_digests.json").read_text())
 ])
 def test_workload_report_digests_match_golden(workload, seed, config):
     reports = workload_reports(workload, seed, default=config == "default")
-    # the digest perfbench/harness.py computes
-    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
-    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == DIGESTS[workload][str(seed)][config]
+    assert digest(reports) == DIGESTS[workload][str(seed)][config]
+
+
+@dataclass
+class SystemRecorder(SmtContext):
+    """A solver context that keeps every ranking system it is asked to
+    decide, as its rows in order: ``[[[unknown, coefficient], ...], const, rel]``."""
+
+    systems: list = field(default_factory=list, init=False)
+
+    def sat_real(self, constraints):
+        self.systems.append([[[[v, str(k)] for v, k in row.coeffs], str(row.const), row.rel]
+                             for row in constraints])
+        return super().sat_real(constraints)
+
+
+SYSTEM_DIGESTS = json.loads((GOLDEN / "ranking_systems.json").read_text())
+
+
+@pytest.mark.parametrize("workload, seed, config", [
+    ("fixtures", 1, "default"), ("ranking_wide", 1, "workload"), ("ranking_wide", 7, "workload"),
+])
+def test_ranking_systems_match_golden(workload, seed, config):
+    smt = SystemRecorder(solver=BUNDLED)
+    workload_reports(workload, seed, default=config == "default", smt=smt)
+    assert smt.systems
+    assert digest(smt.systems) == SYSTEM_DIGESTS[workload][str(seed)][config]
