@@ -1,15 +1,18 @@
 """Linear ranking functions for subprograms, synthesized via duality.
 
-One affine template per location.  For every transition in scope and every
-disjunct of its guard, two implications are required: the template value
-never increases along the transition (and drops by at least 1 on the
-transitions being counted), and it is at least 1 whenever a counted
-transition fires, so its value at an entry state bounds the counted steps.
-Each implication "guard atoms imply affine inequality" is witnessed by
-nonnegative multipliers: the implied inequality must equal a nonnegative
-combination of the guard rows plus a nonnegative constant, which turns
-synthesis into constraint solving over the template coefficients and
-multipliers.
+One affine template per location, held in one form throughout: a
+:class:`~polybound.ir.Polynomial` over the program variables, read off the
+solver's model.  For every transition in scope and every disjunct of its
+guard, two implications are required: the template value never increases
+along the transition (and drops by at least 1 on the transitions being
+counted), and it is at least 1 whenever a counted transition fires, so its
+value at an entry state bounds the counted steps.  Each implication "guard
+atoms imply affine inequality" is witnessed by nonnegative multipliers: the
+implied inequality must equal a nonnegative combination of the guard rows
+plus a nonnegative constant, which turns synthesis into constraint solving
+over the template coefficients and multipliers.  While they are unknown,
+each implication's quantity maps every template coefficient to the affine
+polynomial it multiplies.
 
 Guard atoms are strict over the integers, so ``p > 0`` enters as
 ``p - 1 >= 0``.  Non-linear guard atoms are dropped from the antecedent
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .bounds import Bound, bound_of_poly, bsum, simplify
 from .ir import (
@@ -47,24 +51,17 @@ class RankingValidationError(Exception):
 
 @dataclass
 class RankingFunction:
-    coeffs: dict[str, dict[str, Fraction]]  # location -> var -> coefficient
-    consts: dict[str, Fraction]
+    templates: dict[str, Polynomial]  # location -> affine template
     decreasing: frozenset[str]  # transition ids counted (drop >= 1)
     # (transition id, guard-clause index, check) -> one multiplier per row
     multipliers: dict[tuple[str, int, str], tuple[Fraction, ...]] = field(default_factory=dict)
-
-    def as_poly(self, loc: str) -> Polynomial:
-        p = Polynomial.const(self.consts[loc])
-        for v, c in self.coeffs[loc].items():
-            p = p + Polynomial.var(v).scale(c)
-        return p
 
 
 def synthesize_lrf(
     p: Program,
     scope: list[Transition],
     decreasing: list[Transition],
-    smt: SmtContext | None = None,
+    smt: SmtContext,
 ) -> RankingFunction | None:
     """A ranking function for ``decreasing`` within ``scope``, or None.
 
@@ -75,98 +72,70 @@ def synthesize_lrf(
         t.tid for t in scope
     ):
         raise ValueError("decreasing set must be a nonempty subset of the scope")
-    smt = smt or SmtContext()
     decreasing_ids = {t.tid for t in decreasing}
     locations = sorted({t.src for t in scope} | {t.tgt for t in scope})
 
-    # template variable names
-    def c_var(loc: str, v: str) -> str:
-        return f"c!{loc}!{v}"
-
-    def c_const(loc: str) -> str:
-        return f"c!{loc}!0"
-
-    constraints: list[LinearConstraint] = []
+    def template(loc: str) -> dict[str, Polynomial]:
+        """The template at ``loc``: each unknown coefficient with its factor."""
+        factors = {f"c!{loc}!{v}": Polynomial.var(v) for v in p.vars}
+        factors[f"c!{loc}!0"] = Polynomial.one()
+        return factors
 
     # non-linear updates pin the target-side coefficients to zero
-    pinned: set[str] = set()
-    for t in scope:
-        for v, rhs in t.update.items():
-            if rhs.degree() > 1:
-                name = c_var(t.tgt, v)
-                if name not in pinned:
-                    pinned.add(name)
-                    constraints.append(LinearConstraint.make({name: Fraction(1)}, 0, "="))
-
+    pinned = dict.fromkeys(f"c!{t.tgt}!{v}" for t in scope
+                           for v, rhs in t.update.items() if rhs.degree() > 1)
+    constraints = [LinearConstraint.make({name: 1}, 0, "=") for name in pinned]
     mult_names: dict[tuple[str, int, str], list[str]] = {}
-    mult_count = 0
+    mult_ids = count()
+    monos = [((v, 1),) for v in sorted(p.vars)]
 
     def implication(
         key: tuple[str, int, str],
         clause: tuple[Atom, ...],
-        target: dict[str, dict[str, Fraction]],
-        target_const: dict[str, Fraction],
-        offset: Fraction,
+        quantity: dict[str, Polynomial],
+        offset: int,
     ) -> None:
-        """Encode: clause  implies  (affine combination of templates) + offset >= 0.
-
-        ``target`` maps template variable names to their per-program-variable
-        coefficients, ``target_const`` to their constant contribution.
-        """
-        nonlocal mult_count
+        """Encode: clause  implies  sum(unknown * factor) + offset >= 0, the
+        sum over ``quantity``'s unknowns and their affine factors."""
         rows = _linear_rows(clause)
-        mults = mult_names[key] = [f"l!{mult_count + i}" for i in range(len(rows))]
-        mult_count += len(rows)
+        mults = mult_names[key] = [f"l!{next(mult_ids)}" for _ in rows]
         constraints.extend(LinearConstraint.make({name: 1}, 0, ">=") for name in mults)
-        for v in sorted(p.vars):
-            coeffs = {tmpl: per_var.get(v, 0) for tmpl, per_var in target.items()}
-            coeffs.update((name, -row.coefficient(((v, 1),))) for name, row in zip(mults, rows))
+        for mono in monos:
+            coeffs = {name: factor.coefficient(mono) for name, factor in quantity.items()}
+            coeffs.update((name, -row.coefficient(mono)) for name, row in zip(mults, rows))
             if any(coeffs.values()):
                 constraints.append(LinearConstraint.make(coeffs, 0, "="))
-        # constant row: target_const + offset - sum(mult * row_const) >= 0
-        coeffs = dict(target_const)
+        # constant row: the quantity's constant + offset - sum(mult * row_const) >= 0
+        coeffs = {name: factor.constant_term() for name, factor in quantity.items()}
         coeffs.update((name, -row.constant_term()) for name, row in zip(mults, rows))
         constraints.append(LinearConstraint.make(coeffs, offset, ">="))
 
     try:
         for t in scope:
-            clauses = dnf(t.guard)
-            delta = Fraction(1) if t.tid in decreasing_ids else Fraction(0)
-            # f_src(x) - f_tgt(update(x)) - delta >= 0
-            source = {c_var(t.src, v): {v: Fraction(1)} for v in p.vars}
-            target = {name: dict(per_var) for name, per_var in source.items()}
-            target_const = {c_const(t.src): Fraction(1)}
-            for w in p.vars:
-                rhs = t.update[w]
-                if rhs.degree() > 1:
-                    continue  # its coefficient is pinned to zero
-                name = c_var(t.tgt, w)
-                per_var = target.setdefault(name, {})
-                for v in p.vars:
-                    per_var[v] = per_var.get(v, 0) - rhs.coefficient(((v, 1),))
-                target_const[name] = target_const.get(name, 0) - rhs.constant_term()
-            target_const[c_const(t.tgt)] = target_const.get(c_const(t.tgt), 0) - 1
-            for i, clause in enumerate(clauses):
-                implication((t.tid, i, "drop"), clause, target, target_const, -delta)
-                if t.tid in decreasing_ids:
-                    implication((t.tid, i, "template value"), clause, source,
-                                {c_const(t.src): Fraction(1)}, Fraction(-1))
+            counted = t.tid in decreasing_ids
+            # f_src(x) - f_tgt(update(x)), without the pinned coefficients' terms
+            value = template(t.src)
+            drop = dict(value)
+            images = {f"c!{t.tgt}!{w}": t.update[w] for w in p.vars if t.update[w].degree() <= 1}
+            images[f"c!{t.tgt}!0"] = Polynomial.one()
+            for name, image in images.items():
+                drop[name] = drop[name] - image if name in drop else -image
+            for i, clause in enumerate(dnf(t.guard)):
+                implication((t.tid, i, "drop"), clause, drop, -1 if counted else 0)
+                if counted:
+                    implication((t.tid, i, "template value"), clause, value, -1)
     except DnfCapExceeded:
         return None
 
     result = smt.sat_real(constraints)
     if not result.is_sat:
         return None
-    coeffs = {
-        loc: {
-            v: result.model.get(c_var(loc, v), Fraction(0)) for v in p.vars
-        }
-        for loc in locations
-    }
-    consts = {loc: result.model.get(c_const(loc), Fraction(0)) for loc in locations}
+    templates = {loc: sum(factor.scale(result.model.get(name, 0))
+                          for name, factor in template(loc).items())
+                 for loc in locations}
     multipliers = {key: tuple(result.model[name] for name in names)
                    for key, names in mult_names.items()}
-    rf = RankingFunction(coeffs, consts, frozenset(decreasing_ids), multipliers)
+    rf = RankingFunction(templates, frozenset(decreasing_ids), multipliers)
     validate_rf(p, rf, scope)
     return rf
 
@@ -182,11 +151,10 @@ def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> Non
     least value less its multipliers (one ``>= 0`` per row) times the guard
     clause's rows must leave a constant ``>= 0``.  Anything else would make
     every bound derived from *rf* unsound, so this raises, naming the rest."""
-    template = {loc: rf.as_poly(loc) for loc in rf.consts}
     for t in scope:
-        value = template[t.src]
+        value = rf.templates[t.src]
         counted = t.tid in rf.decreasing
-        checks = [("drop", value - template[t.tgt].substitute(t.update), 1 if counted else 0)]
+        checks = [("drop", value - rf.templates[t.tgt].substitute(t.update), 1 if counted else 0)]
         if counted:
             checks.append(("template value", value, 1))
         for i, clause in enumerate(dnf(t.guard)):
@@ -215,5 +183,5 @@ def rf_local_bound(rf: RankingFunction, entries: list[Transition]) -> Bound:
         if r.tgt in seen:
             continue
         seen.add(r.tgt)
-        parts.append(bound_of_poly(rf.as_poly(r.tgt)))
+        parts.append(bound_of_poly(rf.templates[r.tgt]))
     return simplify(bsum(parts))

@@ -116,7 +116,6 @@ def sampled_rf_violation(p: Program, rf, scope: list[Transition]) -> str | None:
     """A violated ranking-function invariant at a sampled integer state, or
     None when every sampled state satisfies both."""
     rng = random.Random(0)
-    template = {loc: rf.as_poly(loc) for loc in rf.consts}
     for t in scope:
         checked = 0
         for _ in range(SAMPLE_DRAWS):
@@ -127,8 +126,8 @@ def sampled_rf_violation(p: Program, rf, scope: list[Transition]) -> str | None:
                 continue
             checked += 1
             post = {v: t.update[v].evaluate_int(state) for v in p.vars}
-            value = template[t.src].evaluate(state)
-            drop = value - template[t.tgt].evaluate(post)
+            value = rf.templates[t.src].evaluate(state)
+            drop = value - rf.templates[t.tgt].evaluate(post)
             needed = 1 if t.tid in rf.decreasing else 0
             if drop < needed:
                 return f"{t.tid}: drop {drop} below {needed} at {state}"

@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -9,7 +8,7 @@ import polybound.smt
 from polybound import minismt, ranking
 from polybound.bounds import bound_eval
 from polybound.engine import AnalysisConfig, analyze
-from polybound.ir import dnf, entry_transitions, eval_formula, parse_program
+from polybound.ir import Polynomial, dnf, entry_transitions, eval_formula, parse_program
 from polybound.ranking import (
     RankingFunction,
     RankingValidationError,
@@ -17,16 +16,23 @@ from polybound.ranking import (
     synthesize_lrf,
     validate_rf,
 )
+from polybound.smt import SmtContext
 
 from conftest import FIXTURE_NAMES, benchmark_jobs, load_fixture, sampled_rf_violation
 
 
-def test_countdown_rf(countdown):
+@pytest.fixture(scope="module")
+def smt():
+    """One solver context for the module's direct synthesis calls."""
+    return SmtContext()
+
+
+def test_countdown_rf(countdown, smt):
     t1 = countdown.transition("t1")
-    rf = synthesize_lrf(countdown, [t1], [t1])
+    rf = synthesize_lrf(countdown, [t1], [t1], smt)
     assert rf is not None
     # decrease and nonnegativity, checked by substitution on guarded states
-    template = rf.as_poly("l1")
+    template = rf.templates["l1"]
     for start in range(1, 30):
         value = template.evaluate({"x": start})
         after = template.evaluate({"x": start - 1})
@@ -34,18 +40,18 @@ def test_countdown_rf(countdown):
         assert value >= 1
 
 
-def test_incrementing_loop_has_no_rf():
+def test_incrementing_loop_has_no_rf(smt):
     p = parse_program(
         "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
         "(RULES l0(x) -> l1(x)  l1(x) -> l1(x+1) :|: x > 0)"
     )
     t1 = p.transition("t1")
-    assert synthesize_lrf(p, [t1], [t1]) is None
+    assert synthesize_lrf(p, [t1], [t1], smt) is None
 
 
-def test_nested_singleton_t1(nested):
+def test_nested_singleton_t1(nested, smt):
     scc = [nested.transition(t) for t in ("t1", "t2", "t3")]
-    rf = synthesize_lrf(nested, scc, [nested.transition("t1")])
+    rf = synthesize_lrf(nested, scc, [nested.transition("t1")], smt)
     assert rf is not None
     bound = rf_local_bound(rf, entry_transitions(nested, scc))
     # linear in x4: evaluation grows linearly
@@ -54,29 +60,28 @@ def test_nested_singleton_t1(nested):
     assert hi > lo
 
 
-def test_nested_trivial_guard_blocks_nonnegativity(nested):
+def test_nested_trivial_guard_blocks_nonnegativity(nested, smt):
     # t2 fires unconditionally, so no affine template can be provably
     # nonnegative at its source; synthesis must refuse rather than guess
     scc = [nested.transition(t) for t in ("t1", "t2", "t3")]
-    assert synthesize_lrf(nested, scc, [nested.transition("t2")]) is None
+    assert synthesize_lrf(nested, scc, [nested.transition("t2")], smt) is None
 
 
-def test_nested_nonlinear_loop_not_rankable(nested):
+def test_nested_nonlinear_loop_not_rankable(nested, smt):
     scc = [nested.transition(t) for t in ("t1", "t2", "t3")]
-    assert synthesize_lrf(nested, scc, [nested.transition("t3")]) is None
+    assert synthesize_lrf(nested, scc, [nested.transition("t3")], smt) is None
 
 
-def test_two_phase_singleton():
+def test_two_phase_singleton(smt):
     p = load_fixture("two_phase")
     scc = [p.transition("t1"), p.transition("t2")]
-    rf = synthesize_lrf(p, scc, [p.transition("t1")])
+    rf = synthesize_lrf(p, scc, [p.transition("t1")], smt)
     assert rf is not None
 
 
 def test_rf_local_bound_examples():
     rf = RankingFunction(
-        coeffs={"l1": {"x4": Fraction(1)}},
-        consts={"l1": Fraction(0)},
+        templates={"l1": Polynomial.var("x4")},
         decreasing=frozenset({"t1"}),
     )
     p = load_fixture("nested")
@@ -85,8 +90,7 @@ def test_rf_local_bound_examples():
     assert bound_eval(bound, {v: 7 for v in p.vars}) == 7
 
     rf2 = RankingFunction(
-        coeffs={"l1": {"x4": Fraction(1)}},
-        consts={"l1": Fraction(-3)},
+        templates={"l1": Polynomial.var("x4") - 3},
         decreasing=frozenset({"t1"}),
     )
     bound2 = rf_local_bound(rf2, entries)
@@ -96,8 +100,7 @@ def test_rf_local_bound_examples():
 def test_rf_local_bound_sums_distinct_entry_targets():
     p = load_fixture("two_phase")
     rf = RankingFunction(
-        coeffs={"l1": {"x": Fraction(1)}, "l2": {"y": Fraction(1)}},
-        consts={"l1": Fraction(0), "l2": Fraction(0)},
+        templates={"l1": Polynomial.var("x"), "l2": Polynomial.var("y")},
         decreasing=frozenset({"t1"}),
     )
     entries = [p.transition("t0"), p.transition("t1")]  # target l1 and l2
@@ -107,20 +110,19 @@ def test_rf_local_bound_sums_distinct_entry_targets():
 
 def test_validation_rejects_wrong_certificate(countdown):
     bogus = RankingFunction(
-        coeffs={"l1": {"x": Fraction(-1)}},  # increases along the loop
-        consts={"l1": Fraction(0)},
+        templates={"l1": -Polynomial.var("x")},  # increases along the loop
         decreasing=frozenset({"t1"}),
     )
     with pytest.raises(RankingValidationError):
         validate_rf(countdown, bogus, [countdown.transition("t1")])
 
 
-def test_synthesized_rf_respects_pinned_nonlinear_targets(nested):
+def test_synthesized_rf_respects_pinned_nonlinear_targets(nested, smt):
     scc = [nested.transition(t) for t in ("t1", "t2", "t3")]
-    rf = synthesize_lrf(nested, scc, [nested.transition("t1")])
+    rf = synthesize_lrf(nested, scc, [nested.transition("t1")], smt)
     # x2 is updated non-linearly by t3 (which targets l2), so its template
     # coefficient at l2 must be zero for the composition to stay affine
-    assert rf.coeffs["l2"].get("x2", Fraction(0)) == 0
+    assert rf.templates["l2"].coefficient((("x2", 1),)) == 0
 
 
 def synthesized_rfs(programs, cfg_factory=AnalysisConfig):
@@ -180,10 +182,10 @@ CERTIFICATE_FAILURE = re.compile(
 def leftover(p, rf, tid, i, what):
     """What the certificate of one implication leaves, recomputed here."""
     t = p.transition(tid)
-    value = rf.as_poly(t.src)
+    value = rf.templates[t.src]
     counted = tid in rf.decreasing
     if what == "drop":
-        rest = value - rf.as_poly(t.tgt).substitute(t.update) - (1 if counted else 0)
+        rest = value - rf.templates[t.tgt].substitute(t.update) - (1 if counted else 0)
     else:
         assert what == "template value" and counted
         rest = value - 1
@@ -212,16 +214,17 @@ def test_mutated_rfs_are_rejected_with_their_leftover(fixture_rfs):
             state = guard_state(p, t)
             if t.tid not in rf.decreasing or state is None:
                 continue
+            template = rf.templates[t.src]
             # value 0 where t fires
-            consts = dict(rf.consts)
-            consts[t.src] -= rf.as_poly(t.src).evaluate(state)
-            assert_rejected_with_its_leftover(p, dataclasses.replace(rf, consts=consts), scope)
+            templates = dict(rf.templates)
+            templates[t.src] = template - template.evaluate(state)
+            assert_rejected_with_its_leftover(p, dataclasses.replace(rf, templates=templates), scope)
             # negate the template's first nonzero coefficient at t's source
-            var = next((v for v in p.vars if rf.coeffs[t.src][v]), None)
+            var = next((v for v in p.vars if template.coefficient(((v, 1),))), None)
             if var is not None:
-                coeffs = {loc: dict(c) for loc, c in rf.coeffs.items()}
-                coeffs[t.src][var] = -coeffs[t.src][var]
-                assert_rejected_with_its_leftover(p, dataclasses.replace(rf, coeffs=coeffs), scope)
+                coeff = template.coefficient(((var, 1),))
+                templates[t.src] = template - Polynomial.var(var).scale(2 * coeff)
+                assert_rejected_with_its_leftover(p, dataclasses.replace(rf, templates=templates), scope)
             mutated += 1
     assert mutated >= 5
 

@@ -83,7 +83,8 @@ def test_workload_reports_match_golden(workload, seed):
 
 
 def digest(value) -> str:
-    """The digest perfbench/harness.py computes of a run's reports."""
+    """The sha256 digest of a JSON value, as perfbench/harness.py computes
+    it of a run's reports."""
     text = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
