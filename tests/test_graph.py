@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from polybound.ir import entry_transitions, sccs
+from polybound.ir import TRUE, Program, Transition, entry_transitions, sccs
 from polybound.sim import exhaustive_run
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -81,3 +82,49 @@ def test_non_cyclic_transitions_fire_at_most_once(name):
         for t in p.transitions:
             if t.tid not in cyclic:
                 assert result.per_transition[t.tid] <= 1
+
+
+@st.composite
+def location_graphs(draw) -> Program:
+    """Up to ten locations and twenty transitions, none into the start ``l0``."""
+    n = draw(st.integers(2, 10))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=20))
+    transitions = tuple(
+        Transition(f"t{i}", f"l{src}", TRUE, {}, f"l{tgt}") for i, (src, tgt) in enumerate(edges)
+    )
+    return Program((), frozenset(f"l{i}" for i in range(n)), "l0", transitions)
+
+
+def reachable(p: Program) -> dict[str, set[str]]:
+    reach = {loc: {loc} for loc in p.locs}
+    changed = True
+    while changed:
+        changed = False
+        for t in p.transitions:
+            for loc in p.locs:
+                if t.src in reach[loc] and t.tgt not in reach[loc]:
+                    reach[loc].add(t.tgt)
+                    changed = True
+    return reach
+
+
+@given(location_graphs())
+def test_units_are_the_sccs_in_topological_order(p):
+    units = sccs(p)
+    reach = reachable(p)
+    placed = [t.tid for feeding, internal in units for t in (*feeding, *internal)]
+    assert sorted(placed) == sorted(t.tid for t in p.transitions)
+    assert len(units) == len({frozenset(l for l in reach[loc] if loc in reach[l]) for loc in p.locs})
+    unit_of: dict[str, int] = {}
+    for k, (feeding, internal) in enumerate(units):
+        for t in feeding:
+            assert t.src not in reach[t.tgt]
+            assert unit_of.setdefault(t.tgt, k) == k
+        for t in internal:
+            assert t.src in reach[t.tgt]
+            assert unit_of.setdefault(t.src, k) == unit_of.setdefault(t.tgt, k) == k
+        if internal:
+            assert [t.tid for t in feeding] == [t.tid for t in entry_transitions(p, internal)]
+    for t in p.transitions:
+        if t.src in unit_of:
+            assert unit_of[t.src] <= unit_of[t.tgt]

@@ -109,3 +109,51 @@ def test_exhaustive_counts_dominate_each_branch(nested):
 def test_negative_max_steps_rejected(countdown):
     with pytest.raises(ValueError):
         exhaustive_run(countdown, {"x": 1}, max_steps=-1)
+
+
+def test_budget_boundaries(countdown):
+    # six steps through seven configurations from x=5: the budgets admit
+    # them at 6 steps and 7 configurations, and stop the run one below
+    result = exhaustive_run(countdown, {"x": 5}, max_steps=6, visited_cap=7)
+    assert (result.rc, result.exceeded, result.explored) == (6, False, 7)
+    result = exhaustive_run(countdown, {"x": 5}, max_steps=5)
+    assert (result.rc, result.exceeded_reason, result.explored) == (None, "depth", 6)
+    result = exhaustive_run(countdown, {"x": 5}, max_steps=6, visited_cap=6)
+    assert (result.rc, result.exceeded_reason, result.explored) == (None, "cap", 7)
+
+
+# l0 -> a -> c reaches c(3) at depth 2 first; a -> b -> c reaches it again at
+# depth 3, so the longest path (6 steps) runs through an explored configuration
+REJOINING = (
+    "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+    "(RULES l0(x) -> a(x)  a(x) -> c(x)  a(x) -> b(x)  b(x) -> c(x)"
+    "  c(x) -> c(x-1) :|: x > 0)"
+)
+
+
+@pytest.mark.parametrize(
+    "text, state, max_steps, cap, reason, explored",
+    [
+        ("diverge", {"x": 1}, 100, 10**6, "depth", 101),
+        (REJOINING, {"x": 3}, 5, 10**6, "depth", 7),
+        ("countdown", {"x": 5}, 100, 3, "cap", 4),
+        (SELF_SQUARING, {"x": 2}, 10_000, 10**6, "size", 18),
+        (
+            "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
+            "(RULES l0(x) -> l1(x)  l1(x) -> l1(x))",
+            {"x": 0}, 50, 10**6, "cycle", 2,
+        ),
+    ],
+    ids=["diverge", "rejoining", "cap", "size", "cycle"],
+)
+def test_stop_reasons_with_explored_counts(text, state, max_steps, cap, reason, explored):
+    p = parse_program(text) if text.startswith("(") else load_fixture(text)
+    result = exhaustive_run(p, state, max_steps=max_steps, visited_cap=cap)
+    assert (result.rc, result.exceeded, result.per_transition) == (None, True, {})
+    assert (result.exceeded_reason, result.explored) == (reason, explored)
+
+
+def test_rejoining_path_counts_at_full_budget():
+    result = exhaustive_run(parse_program(REJOINING), {"x": 3}, max_steps=6)
+    assert (result.rc, result.explored) == (6, 7)
+    assert result.per_transition == {"t0": 1, "t1": 1, "t2": 1, "t3": 1, "t4": 3}
