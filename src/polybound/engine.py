@@ -96,10 +96,9 @@ def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
             size_bounds_for_scc(p, [t], state.rb, state.sb)
         if not scc:
             continue
-        entries = entry_transitions(p, scc)
         size_bounds_for_scc(p, scc, state.rb, state.sb)
-        if cfg.ranking_enabled:
-            state.ranking_phase(scc, entries)
+        if cfg.ranking_enabled:  # a cyclic unit's feeding transitions are its entries
+            state.ranking_phase(scc, feeding)
         # once: twn bounds only self-loops, which it neither reads nor writes
         state.structural_phase(scc)
         if cfg.twn_enabled:

@@ -1,4 +1,12 @@
-"""Control-flow analysis over the location graph: SCCs, cycles, entries."""
+"""Control-flow analysis over the location graph: SCCs, cycles, entries.
+
+The SCCs come from Kosaraju's two passes.  The first searches the successors
+from every location in first-appearance order; the second searches the
+predecessors from each location not yet placed, latest finished first, and
+each such search collects one SCC.  Tarjan's algorithm, over the same
+search, emits an SCC when its first-discovered location finishes, which is
+the latest finish in the SCC, so both give the same units in the same order.
+"""
 
 from __future__ import annotations
 
@@ -6,89 +14,50 @@ from .program import Program, Transition
 
 
 def sccs(p: Program) -> list[tuple[list[Transition], list[Transition]]]:
-    """Per location SCC in topological order (Tarjan): the transitions
-    feeding into it from earlier components, then its internal ones
-    (declaration order; empty for an SCC without a cycle).  A transition is
-    cyclic iff it is internal to some SCC."""
-    order = _location_order(p)
-    succ: dict[str, list[str]] = {loc: [] for loc in order}
+    """Per location SCC in topological order: the transitions feeding into
+    it from earlier components, then its internal ones (declaration order;
+    empty for an SCC without a cycle).  A transition is cyclic iff it is
+    internal to some SCC."""
+    succ: dict[str, list[str]] = {p.init: []}  # keyed in first-appearance order
     for t in p.transitions:
-        succ[t.src].append(t.tgt)
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    finished: list[list[str]] = []  # reverse topological
-
-    for root in order:
-        if root in index:
-            continue
-        # iterative Tarjan: (node, iterator position)
-        work = [(root, 0)]
-        while work:
-            node, pos = work[-1]
-            if pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = succ[node]
-            while pos < len(children):
-                child = children[pos]
-                pos += 1
-                if child not in index:
-                    work[-1] = (node, pos)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                finished.append(comp)
-            if work:
-                parent, ppos = work[-1]
-                low[parent] = min(low[parent], low[node])
-                work[-1] = (parent, ppos)
-
-    loc_component: dict[str, int] = {}
-    for cid, comp in enumerate(reversed(finished)):  # topological ids
-        for loc in comp:
-            loc_component[loc] = cid
-    units = [([], []) for _ in finished]
+        succ.setdefault(t.src, []).append(t.tgt)
+        succ.setdefault(t.tgt, [])
+    for loc in sorted(p.locs):
+        succ.setdefault(loc, [])
+    pred: dict[str, list[str]] = {loc: [] for loc in succ}
     for t in p.transitions:
-        src, tgt = loc_component[t.src], loc_component[t.tgt]
-        if src == tgt:
-            units[tgt][1].append(t)
-        else:
-            units[tgt][0].append(t)
+        pred[t.tgt].append(t.src)
+
+    finished = _post_order(succ, succ, set())
+    placed: set[str] = set()
+    components = [c for loc in reversed(finished) if (c := _post_order(pred, [loc], placed))]
+    unit_of = {loc: k for k, comp in enumerate(components) for loc in comp}
+    units = [([], []) for _ in components]
+    for t in p.transitions:
+        feeding, internal = units[unit_of[t.tgt]]
+        (internal if unit_of[t.src] == unit_of[t.tgt] else feeding).append(t)
     return units
 
 
-def _location_order(p: Program) -> list[str]:
-    order = [p.init]
-    seen = {p.init}
-    for t in p.transitions:
-        for loc in (t.src, t.tgt):
-            if loc not in seen:
-                seen.add(loc)
-                order.append(loc)
-    for loc in sorted(p.locs):
-        if loc not in seen:
-            seen.add(loc)
-            order.append(loc)
+def _post_order(adjacency: dict[str, list[str]], roots, seen: set[str]) -> list[str]:
+    """The locations a depth-first search from ``roots`` reaches outside
+    ``seen``, in the order it finishes them; adds them to ``seen``."""
+    order: list[str] = []
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(adjacency[child])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
     return order
 
 

@@ -136,7 +136,7 @@ def synthesize_lrf(
     multipliers = {key: tuple(result.model[name] for name in names)
                    for key, names in mult_names.items()}
     rf = RankingFunction(templates, frozenset(decreasing_ids), multipliers)
-    validate_rf(p, rf, scope)
+    validate_rf(rf, scope)
     return rf
 
 
@@ -146,7 +146,7 @@ def _linear_rows(clause: tuple[Atom, ...]) -> list[Polynomial]:
     return [atom.poly - 1 for atom in clause if atom.poly.degree() <= 1]
 
 
-def validate_rf(p: Program, rf: RankingFunction, scope: list[Transition]) -> None:
+def validate_rf(rf: RankingFunction, scope: list[Transition]) -> None:
     """Each implication's quantity, recomputed from the templates, less its
     least value less its multipliers (one ``>= 0`` per row) times the guard
     clause's rows must leave a constant ``>= 0``.  Anything else would make

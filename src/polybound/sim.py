@@ -13,7 +13,7 @@ fit the step and size budgets; everything else is an honest ``Exceeded``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .ir import Program, Transition, eval_formula
 
@@ -83,47 +83,37 @@ def exhaustive_run(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
+    edges: dict[Configuration, list[tuple[str, Configuration]]] = {}  # the visited ones
+    on_path: set[Configuration] = set()
+    stack: list[tuple[Configuration, Iterator[tuple[str, Configuration]]]] = []
+    depth: dict[Configuration, int] = {}  # in finishing order: children first
+
+    def enter(node: Configuration) -> None:
+        if any(v.bit_length() > VALUE_BITS_CAP for v in node.values):
+            raise _Exceeded("size")
+        edges[node] = children = [(t.tid, c2) for t, c2 in step(p, node)]
+        if len(edges) > visited_cap:
+            raise _Exceeded("cap")
+        if len(stack) >= max_steps and children:
+            raise _Exceeded("depth")
+        on_path.add(node)
+        stack.append((node, iter(children)))
+
     root = make_config(p, p.init, initial_state)
-    edges: dict[Configuration, list[tuple[str, Configuration]]] = {}
-    depth: dict[Configuration, int] = {}
-    post_order: list[Configuration] = []
-
-    GRAY, BLACK = 0, 1
-    color: dict[Configuration, int] = {}
-
     try:
-        stack: list[tuple[Configuration, int]] = [(root, 0)]
+        enter(root)
         while stack:
-            node, pos = stack[-1]
-            if pos == 0:
-                color[node] = GRAY
-                if node not in edges:
-                    if any(v.bit_length() > VALUE_BITS_CAP for v in node.values):
-                        raise _Exceeded("size")
-                    edges[node] = [(t.tid, c2) for t, c2 in step(p, node)]
-                    if len(edges) > visited_cap:
-                        raise _Exceeded("cap")
-                if len(stack) - 1 >= max_steps and edges[node]:
-                    raise _Exceeded("depth")
-            children = edges[node]
-            advanced = False
-            while pos < len(children):
-                _, child = children[pos]
-                pos += 1
-                mark = color.get(child)
-                if mark == GRAY:
+            node, children = stack[-1]
+            for _, child in children:
+                if child in on_path:
                     raise _Exceeded("cycle")
-                if mark is None:
-                    stack[-1] = (node, pos)
-                    stack.append((child, 0))
-                    advanced = True
+                if child not in edges:
+                    enter(child)
                     break
-            if advanced:
-                continue
-            stack.pop()
-            color[node] = BLACK
-            depth[node] = max((1 + depth[c] for _, c in children), default=0)
-            post_order.append(node)
+            else:
+                stack.pop()
+                on_path.remove(node)
+                depth[node] = max((1 + depth[c] for _, c in edges[node]), default=0)
     except _Exceeded as exc:
         return ExhaustiveResult(None, True, exc.reason, {}, len(edges))
 
@@ -133,7 +123,7 @@ def exhaustive_run(
     counts: dict[str, int] = {}
     for t in p.transitions:
         best: dict[Configuration, int] = {}
-        for node in post_order:  # children precede parents
+        for node in depth:
             best[node] = max(
                 ((tid == t.tid) + best[child] for tid, child in edges[node]),
                 default=0,

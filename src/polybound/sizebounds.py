@@ -95,16 +95,17 @@ def size_bounds_for_scc(
         if t.update[v].variables() <= invariant:
             return _composed_bound(p, t, v, sb)
 
-        # R3: additive counter across the whole component
+        # R3: additive counter across the whole component (every Program
+        # checks that its updates are integral, so the constants are too)
         resets: list[Bound] = []
         increments: list[Bound] = []
         for t2 in scc:
             rhs = t2.update[v]
             if rhs == Polynomial.var(v):
                 continue
-            if rhs.is_const and rhs.is_integral():
+            if rhs.is_const:
                 resets.append(Const(abs(int(rhs.const_value()))))
-            elif (diff := rhs - Polynomial.var(v)).is_const and diff.is_integral():
+            elif (diff := rhs - Polynomial.var(v)).is_const:
                 increments.append(bprod([Const(abs(int(diff.const_value()))), rb[t2.tid]]))
             else:
                 break

@@ -209,12 +209,9 @@ def stabilization_bound(loop: TwnLoop, cf: ClosedForm) -> Bound:
     return simplify(bsum(parts))
 
 
-def prove_termination(
-    loop: TwnLoop, cf: ClosedForm, smt: SmtContext | None = None
-) -> TerminationVerdict:
+def prove_termination(loop: TwnLoop, cf: ClosedForm, smt: SmtContext) -> TerminationVerdict:
     """Unsat of the non-termination formula proves termination; a model is
     turned into a concrete witness state and sanity-checked by simulation."""
-    smt = smt or SmtContext()
     formula = nontermination_formula(loop, cf)
     result = smt.sat_int(formula)
     if result.is_unsat:
@@ -269,9 +266,7 @@ def _stable_at(addends: list[tuple[Fraction, int, int]], n: int) -> bool:
     return not values or values[-1] > sum(values[:-1])
 
 
-def analyze_self_loop(
-    t: Transition, smt: SmtContext | None = None
-) -> TwnAnalysis | Unsupported:
+def analyze_self_loop(t: Transition, smt: SmtContext) -> TwnAnalysis | Unsupported:
     """Full pipeline: check, closed form, termination, stabilization bound.
 
     The stabilization bound B counts runs of the loop's path of k transitions,

@@ -15,6 +15,7 @@ from polybound.engine import AnalysisResult, analyze
 from polybound.ir import Polynomial, Program, Transition, TRUE, eval_formula, parse_program
 from polybound.ir.linear import LinearConstraint
 from polybound.sim import make_config, step
+from polybound.smt import SmtContext
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -94,6 +95,12 @@ def geo_race() -> Program:
 @pytest.fixture
 def countdown() -> Program:
     return load_fixture("countdown")
+
+
+@pytest.fixture(scope="module")
+def smt() -> SmtContext:
+    """One solver context for a module's direct calls that need one."""
+    return SmtContext()
 
 
 def iterate_update(

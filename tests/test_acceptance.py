@@ -88,17 +88,17 @@ def test_c2_closed_form_property_suite():
     _report("C2", f"closed-form property suite, 100 loops in {elapsed:.1f}s")
 
 
-def test_c3_termination_verdicts():
+def test_c3_termination_verdicts(smt):
     started = time.perf_counter()
     program = load_fixture("geo_race")
     loop = twn_check(program.transition("t1"))
-    verdict = prove_termination(loop, closed_form(loop))
+    verdict = prove_termination(loop, closed_form(loop), smt)
     assert verdict.status == "terminating"
     assert time.perf_counter() - started < 10.0
 
     x = Polynomial.var("x")
     up = twn_check(Transition("up", "l1", Atom(x), {"x": x + 1}, "l1"))
-    verdict = prove_termination(up, closed_form(up))
+    verdict = prove_termination(up, closed_form(up), smt)
     assert verdict.status == "nonterminating"
     state = dict(verdict.witness)
     for _ in range(100):
@@ -106,7 +106,7 @@ def test_c3_termination_verdicts():
         state = {v: rhs.evaluate_int(state) for v, rhs in up.update.items()}
 
     down = twn_check(Transition("down", "l1", Atom(x), {"x": x - 1}, "l1"))
-    assert prove_termination(down, closed_form(down)).status == "terminating"
+    assert prove_termination(down, closed_form(down), smt).status == "terminating"
     _report("C3", "termination verdicts")
 
 
@@ -140,13 +140,13 @@ def _terminating_loop_samples(rng: random.Random, count: int) -> list[Transition
     return loops
 
 
-def test_c4_stabilization_bound_soundness():
+def test_c4_stabilization_bound_soundness(smt):
     rng = random.Random(77)
     program = load_fixture("geo_race")
     samples = [program.transition("t1")]
     samples.extend(_terminating_loop_samples(rng, 20))
     for t in samples:
-        analysis = analyze_self_loop(t)
+        analysis = analyze_self_loop(t, smt)
         assert isinstance(analysis, TwnAnalysis), t.update
         assert analysis.verdict.status == "terminating", (t.guard, t.update)
         klass = asymptotic_class(analysis.local_bound)

@@ -16,15 +16,8 @@ from polybound.ranking import (
     synthesize_lrf,
     validate_rf,
 )
-from polybound.smt import SmtContext
 
 from conftest import FIXTURE_NAMES, benchmark_jobs, load_fixture, sampled_rf_violation
-
-
-@pytest.fixture(scope="module")
-def smt():
-    """One solver context for the module's direct synthesis calls."""
-    return SmtContext()
 
 
 def test_countdown_rf(countdown, smt):
@@ -114,7 +107,7 @@ def test_validation_rejects_wrong_certificate(countdown):
         decreasing=frozenset({"t1"}),
     )
     with pytest.raises(RankingValidationError):
-        validate_rf(countdown, bogus, [countdown.transition("t1")])
+        validate_rf(bogus, [countdown.transition("t1")])
 
 
 def test_synthesized_rf_respects_pinned_nonlinear_targets(nested, smt):
@@ -131,9 +124,9 @@ def synthesized_rfs(programs, cfg_factory=AnalysisConfig):
     found = []
     original = ranking.validate_rf
 
-    def recording(p, rf, scope):
-        original(p, rf, scope)
-        found.append((p, rf, scope))
+    def recording(rf, scope):
+        original(rf, scope)
+        found.append((p, rf, scope))  # the program under analysis below
 
     ranking.validate_rf = recording
     try:
@@ -199,7 +192,7 @@ def assert_rejected_with_its_leftover(p, rf, scope):
     """validate_rf raises, and the leftover its message names is what this
     test recomputes for the named implication, which it does not certify."""
     with pytest.raises(RankingValidationError) as info:
-        validate_rf(p, rf, scope)
+        validate_rf(rf, scope)
     tid, what, i, named = CERTIFICATE_FAILURE.fullmatch(str(info.value)).groups()
     rest = leftover(p, rf, tid, int(i), what)
     assert named == str(rest)
@@ -241,7 +234,7 @@ def test_perturbed_multipliers_are_rejected(fixture_rfs):
                     multipliers = dict(rf.multipliers)
                     multipliers[(tid, i, what)] = lams[:j] + (changed,) + lams[j + 1:]
                     with pytest.raises(RankingValidationError, match=f"^{tid}: {what} on clause {i} "):
-                        validate_rf(p, dataclasses.replace(rf, multipliers=multipliers), scope)
+                        validate_rf(dataclasses.replace(rf, multipliers=multipliers), scope)
                 perturbed += 1
     assert perturbed >= 5
 
@@ -256,4 +249,4 @@ def test_validation_runs_no_lp(fixture_rfs, monkeypatch):
     monkeypatch.setattr(polybound.smt, "solve_lp", forbidden)
     monkeypatch.setattr(ranking, "solve_lp", forbidden, raising=False)
     for p, rf, scope in fixture_rfs:
-        validate_rf(p, rf, scope)
+        validate_rf(rf, scope)

@@ -108,16 +108,16 @@ def test_eventual_atom_random_expressions():
 # -- termination --------------------------------------------------------------
 
 
-def test_reference_loop_terminates(geo_race):
-    analysis = analyze_self_loop(geo_race.transition("t1"))
+def test_reference_loop_terminates(geo_race, smt):
+    analysis = analyze_self_loop(geo_race.transition("t1"), smt)
     assert isinstance(analysis, TwnAnalysis)
     assert analysis.verdict.status == "terminating"
 
 
-def test_incrementing_loop_diverges_with_witness():
+def test_incrementing_loop_diverges_with_witness(smt):
     loop = twn_check(self_loop({"x": x + 1}, guard=Atom(x)))
     cf = closed_form(loop)
-    verdict = prove_termination(loop, cf)
+    verdict = prove_termination(loop, cf, smt)
     assert verdict.status == "nonterminating"
     state = dict(verdict.witness)
     for _ in range(100):
@@ -125,16 +125,16 @@ def test_incrementing_loop_diverges_with_witness():
         state = {v: rhs.evaluate_int(state) for v, rhs in loop.update.items()}
 
 
-def test_decrementing_loop_terminates():
+def test_decrementing_loop_terminates(smt):
     loop = twn_check(self_loop({"x": x - 1}, guard=Atom(x)))
-    verdict = prove_termination(loop, closed_form(loop))
+    verdict = prove_termination(loop, closed_form(loop), smt)
     assert verdict.status == "terminating"
 
 
-def test_false_guard_is_trivially_terminating():
+def test_false_guard_is_trivially_terminating(smt):
     loop = twn_check(self_loop({"x": x + 1}, guard=FALSE))
     assert nontermination_formula(loop, closed_form(loop)) == FALSE
-    verdict = prove_termination(loop, closed_form(loop))
+    verdict = prove_termination(loop, closed_form(loop), smt)
     assert verdict.status == "terminating"
 
 
@@ -212,8 +212,8 @@ def test_dominance_threshold_requires_order():
 # -- stabilization bounds -----------------------------------------------------
 
 
-def test_stabilization_bound_is_polynomial(geo_race):
-    analysis = analyze_self_loop(geo_race.transition("t1"))
+def test_stabilization_bound_is_polynomial(geo_race, smt):
+    analysis = analyze_self_loop(geo_race.transition("t1"), smt)
     klass = asymptotic_class(analysis.local_bound)
     assert klass.kind == "poly"
     assert klass == AsymptoticClass("poly", 5)  # x3^5 dominates
@@ -225,9 +225,9 @@ def test_trivial_guard_constant_bound():
     assert bound_eval(bound, {"x": 10**6}) == bound_eval(bound, {"x": 0})
 
 
-def test_countdown_bound_dominates_simulation():
+def test_countdown_bound_dominates_simulation(smt):
     t = self_loop({"x": x - 1}, guard=Atom(x))
-    analysis = analyze_self_loop(t)
+    analysis = analyze_self_loop(t, smt)
     assert analysis.verdict.is_terminating
     for start in range(0, 51):
         actual = max(0, start)
@@ -235,9 +235,9 @@ def test_countdown_bound_dominates_simulation():
         assert actual <= bound
 
 
-def test_reference_loop_bound_dominates_simulation(geo_race):
+def test_reference_loop_bound_dominates_simulation(geo_race, smt):
     t = geo_race.transition("t1")
-    analysis = analyze_self_loop(t)
+    analysis = analyze_self_loop(t, smt)
     rng = random.Random(3)
     for _ in range(60):
         state = {v: rng.randint(-15, 15) for v in ("x1", "x2", "x3")}
@@ -249,20 +249,20 @@ def test_reference_loop_bound_dominates_simulation(geo_race):
 # -- local runtime bounds -----------------------------------------------------
 
 
-def test_non_self_loop_unsupported(nested):
-    outcome = analyze_self_loop(nested.transition("t1"))
+def test_non_self_loop_unsupported(nested, smt):
+    outcome = analyze_self_loop(nested.transition("t1"), smt)
     assert isinstance(outcome, Unsupported)
 
 
-def test_diverging_loop_unsupported():
-    outcome = analyze_self_loop(self_loop({"x": x + 1}, guard=Atom(x)))
+def test_diverging_loop_unsupported(smt):
+    outcome = analyze_self_loop(self_loop({"x": x + 1}, guard=Atom(x)), smt)
     assert outcome.verdict.status == "nonterminating"
     assert outcome.local_bound is None
 
 
-def test_chained_loop_local_bound():
+def test_chained_loop_local_bound(smt):
     t = self_loop({"x": -2 * x}, guard=Atom(x))
-    analysis = analyze_self_loop(t)
+    analysis = analyze_self_loop(t, smt)
     assert isinstance(analysis, TwnAnalysis)
     assert len(analysis.loop.path) == 2
     # the loop runs exactly one step from any positive start
@@ -304,10 +304,10 @@ def loop_transition(variables, update: str, guard: str) -> Transition:
 
 
 @pytest.mark.parametrize("name", sorted(DOUBLE_STEPS))
-def test_chained_loop_counts_two_steps_per_double_step(name):
+def test_chained_loop_counts_two_steps_per_double_step(name, smt):
     variables, update, guard, update2, guard2 = DOUBLE_STEPS[name]
-    single = analyze_self_loop(loop_transition(variables, update, guard))
-    double = analyze_self_loop(loop_transition(variables, update2, guard2))
+    single = analyze_self_loop(loop_transition(variables, update, guard), smt)
+    double = analyze_self_loop(loop_transition(variables, update2, guard2), smt)
     assert isinstance(single, TwnAnalysis) and isinstance(double, TwnAnalysis)
     k = len(single.loop.path)
     assert k == 2 and len(double.loop.path) == 1
@@ -331,15 +331,15 @@ def test_compose_twice_is_the_double_step(name):
 # -- size bounds from closed forms ---------------------------------------------
 
 
-def test_size_bound_identity_variable(geo_race):
-    analysis = analyze_self_loop(geo_race.transition("t1"))
+def test_size_bound_identity_variable(geo_race, smt):
+    analysis = analyze_self_loop(geo_race.transition("t1"), smt)
     bound = twn_size_bound(analysis, "x3")
     for v in range(0, 20):
         assert bound_eval(bound, {"x1": 3, "x2": 5, "x3": v}) == v
 
 
-def test_size_bound_geometric_variable(geo_race):
-    analysis = analyze_self_loop(geo_race.transition("t1"))
+def test_size_bound_geometric_variable(geo_race, smt):
+    analysis = analyze_self_loop(geo_race.transition("t1"), smt)
     bound = twn_size_bound(analysis, "x1")
     state = {"x1": 2, "x2": 9, "x3": 1}
     abs_state = dict(state)
@@ -348,9 +348,9 @@ def test_size_bound_geometric_variable(geo_race):
     assert bound_eval(bound, abs_state) >= 2 * 4**iteration_cap
 
 
-def test_size_bound_additive_variable():
+def test_size_bound_additive_variable(smt):
     t = self_loop({"x": x - 1, "y": y}, guard=Atom(x))
-    analysis = analyze_self_loop(t)
+    analysis = analyze_self_loop(t, smt)
     bound = twn_size_bound(analysis, "x")
     rng = random.Random(5)
     for _ in range(40):
