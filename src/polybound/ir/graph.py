@@ -30,7 +30,10 @@ def sccs(p: Program) -> list[tuple[list[Transition], list[Transition]]]:
 
     finished = _post_order(succ, succ, set())
     placed: set[str] = set()
-    components = [c for loc in reversed(finished) if (c := _post_order(pred, [loc], placed))]
+    components = []
+    for loc in reversed(finished):
+        if loc not in placed:
+            components.append(_post_order(pred, [loc], placed))
     unit_of = {loc: k for k, comp in enumerate(components) for loc in comp}
     units = [([], []) for _ in components]
     for t in p.transitions:
