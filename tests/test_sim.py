@@ -41,6 +41,7 @@ def test_divergence_reports_exceeded():
     result = exhaustive_run(p, {"x": 1}, max_steps=100)
     assert result.exceeded
     assert result.rc is None
+    assert (result.exceeded_reason, result.explored) == ("depth", 101)
 
 
 def test_cycle_detection():
@@ -50,6 +51,7 @@ def test_cycle_detection():
     )
     result = exhaustive_run(p, {"x": 0}, max_steps=50)
     assert result.exceeded and result.exceeded_reason == "cycle"
+    assert result.explored == 2
 
 
 SELF_SQUARING = (
@@ -62,7 +64,7 @@ def test_self_squaring_loop_stops_on_value_size():
     # the value's bit length doubles every step, far below the step budget
     result = exhaustive_run(parse_program(SELF_SQUARING), {"x": 2}, max_steps=10_000)
     assert result.exceeded and result.exceeded_reason == "size"
-    assert result.explored < 30
+    assert result.explored == 18
 
 
 def test_value_size_cap_is_inclusive():
@@ -120,6 +122,8 @@ def test_budget_boundaries(countdown):
     assert (result.rc, result.exceeded_reason, result.explored) == (None, "depth", 6)
     result = exhaustive_run(countdown, {"x": 5}, max_steps=6, visited_cap=6)
     assert (result.rc, result.exceeded_reason, result.explored) == (None, "cap", 7)
+    result = exhaustive_run(countdown, {"x": 5}, max_steps=6, visited_cap=3)
+    assert (result.rc, result.exceeded_reason, result.explored) == (None, "cap", 4)
 
 
 # l0 -> a -> c reaches c(3) at depth 2 first; a -> b -> c reaches it again at
@@ -131,29 +135,10 @@ REJOINING = (
 )
 
 
-@pytest.mark.parametrize(
-    "text, state, max_steps, cap, reason, explored",
-    [
-        ("diverge", {"x": 1}, 100, 10**6, "depth", 101),
-        (REJOINING, {"x": 3}, 5, 10**6, "depth", 7),
-        ("countdown", {"x": 5}, 100, 3, "cap", 4),
-        (SELF_SQUARING, {"x": 2}, 10_000, 10**6, "size", 18),
-        (
-            "(GOAL COMPLEXITY)(STARTTERM (FUNCTIONSYMBOLS l0))(VAR x)"
-            "(RULES l0(x) -> l1(x)  l1(x) -> l1(x))",
-            {"x": 0}, 50, 10**6, "cycle", 2,
-        ),
-    ],
-    ids=["diverge", "rejoining", "cap", "size", "cycle"],
-)
-def test_stop_reasons_with_explored_counts(text, state, max_steps, cap, reason, explored):
-    p = parse_program(text) if text.startswith("(") else load_fixture(text)
-    result = exhaustive_run(p, state, max_steps=max_steps, visited_cap=cap)
-    assert (result.rc, result.exceeded, result.per_transition) == (None, True, {})
-    assert (result.exceeded_reason, result.explored) == (reason, explored)
-
-
-def test_rejoining_path_counts_at_full_budget():
-    result = exhaustive_run(parse_program(REJOINING), {"x": 3}, max_steps=6)
+def test_rejoining_path_counts_against_the_step_budget():
+    p = parse_program(REJOINING)
+    result = exhaustive_run(p, {"x": 3}, max_steps=6)
     assert (result.rc, result.explored) == (6, 7)
     assert result.per_transition == {"t0": 1, "t1": 1, "t2": 1, "t3": 1, "t4": 3}
+    result = exhaustive_run(p, {"x": 3}, max_steps=5)
+    assert (result.rc, result.exceeded_reason, result.explored) == (None, "depth", 7)
