@@ -18,7 +18,8 @@ from typing import Mapping, Union
 
 
 class _Omega:
-    """Top element of the extended naturals: larger than every integer."""
+    """Top element of the extended naturals, larger than every integer.  It
+    has no ordering operators: callers test for it with :func:`is_omega`."""
 
     _instance = None
 
@@ -29,18 +30,6 @@ class _Omega:
 
     def __repr__(self) -> str:
         return "ω"
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _Omega)
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _Omega)
-
-    def __lt__(self, other) -> bool:
-        return False
 
 
 OMEGA = _Omega()

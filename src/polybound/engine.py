@@ -93,17 +93,18 @@ def analyze(p: Program, cfg: AnalysisConfig | None = None) -> AnalysisResult:
 
     for feeding, scc in units:
         for t in feeding:
-            size_bounds_for_scc(p, [t], state.rb, state.sb)
+            size_bounds_for_scc(p, [t], [], state.rb, state.sb)
         if not scc:
             continue
-        size_bounds_for_scc(p, scc, state.rb, state.sb)
-        if cfg.ranking_enabled:  # a cyclic unit's feeding transitions are its entries
+        # a cyclic unit's feeding transitions are its entries
+        size_bounds_for_scc(p, scc, feeding, state.rb, state.sb)
+        if cfg.ranking_enabled:
             state.ranking_phase(scc, feeding)
         # once: twn bounds only self-loops, which it neither reads nor writes
         state.structural_phase(scc)
         if cfg.twn_enabled:
             state.twn_phase(scc)
-        size_bounds_for_scc(p, scc, state.rb, state.sb, state.twn_analyses)
+        size_bounds_for_scc(p, scc, feeding, state.rb, state.sb, state.twn_analyses)
 
     overall = simplify(bsum(state.rb[t.tid] for t in p.transitions))
     return AnalysisResult(

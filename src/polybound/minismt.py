@@ -1,11 +1,11 @@
 """Bundled fallback decision procedure speaking an SMT-LIB2 subset.
 
 Run as ``python -m polybound.minismt``; reads a script on standard input and
-answers ``sat`` (with a model), ``unsat`` or ``unknown``.  It exists so the
-analyzer works on machines without an external SMT solver; when a real
-solver is on the PATH it is preferred (see :mod:`polybound.smt`).  The
-analyzer's queries start it as :func:`polybound.smt.launch_command` builds
-it: isolated, without ``site``, calling :func:`main` on the parent's package.
+answers ``sat`` (with a model), ``unsat`` or ``unknown``.  It is the solver
+unless the user names another (see :mod:`polybound.smt`), so the analyzer
+needs no external SMT solver.  The analyzer's queries start it as
+:func:`polybound.smt.launch_command` builds it: isolated, without ``site``,
+calling :func:`main` on the parent's package.
 
 Accepted input: exactly the two scripts :mod:`polybound.smt` writes.  Their
 ``set-logic`` line picks the reader, and every constant is declared with

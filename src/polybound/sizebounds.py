@@ -37,7 +37,7 @@ from .bounds import (
     bsum,
     simplify,
 )
-from .ir import Polynomial, Program, Transition, entry_transitions
+from .ir import Polynomial, Program, Transition
 from .twnbounds import TwnAnalysis, twn_size_bound
 
 SizeBoundMap = dict[tuple[str, str], Bound]
@@ -50,9 +50,8 @@ def _sum_over(transitions, v: str, sb: SizeBoundMap) -> Bound:
 
 def _composed_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound:
     """The update bound for ``v`` at the incoming size bounds of ``t.src``."""
-    mapping = {
-        w: _sum_over(p.incoming(t.src), w, sb) for w in t.update[v].variables()
-    }
+    incoming = p.incoming(t.src)
+    mapping = {w: _sum_over(incoming, w, sb) for w in t.update[v].variables()}
     return simplify(bound_subst(bound_of_poly(t.update[v]), mapping))
 
 
@@ -65,13 +64,16 @@ def _acyclic_bound(p: Program, t: Transition, v: str, sb: SizeBoundMap) -> Bound
 def size_bounds_for_scc(
     p: Program,
     scc: list[Transition],
+    entries: list[Transition],
     rb: dict[str, Bound],
     sb: SizeBoundMap,
     twn_analyses: dict[str, TwnAnalysis] | None = None,
 ) -> SizeBoundMap:
     """Assign SB(t, v) for every transition of the unit; returns ``sb``.
 
-    A single non-cyclic transition is handled as its own unit via R0/R1.
+    ``entries`` are a cyclic unit's entry transitions, the feeding list that
+    :func:`polybound.ir.sccs` gives it.  A single non-cyclic transition is
+    handled as its own unit via R0/R1, and reads none.
     Preconditions: size bounds of transitions topologically before the unit
     are present; runtime bounds may still be infinite (the affected entries
     simply stay infinite until recomputation).
@@ -83,7 +85,6 @@ def size_bounds_for_scc(
             sb[(t.tid, v)] = _acyclic_bound(p, t, v, sb)
         return sb
 
-    entries = entry_transitions(p, scc)
     invariant = {
         v
         for v in p.vars

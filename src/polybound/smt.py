@@ -19,10 +19,11 @@ query whose script would hold a constant too long for ``str()`` answers
 ``unknown``.
 
 Solver resolution order: explicit path argument, the ``POLYBOUND_SMT``
-environment variable, a ``z3`` binary on the PATH, and finally the bundled
-fallback procedure (:mod:`polybound.minismt`), named by :data:`BUNDLED`,
-whose queries start an isolated child without ``site`` that imports this
-very package (:func:`launch_command`).
+environment variable, and otherwise the bundled procedure
+(:mod:`polybound.minismt`), named by :data:`BUNDLED`, whose queries start an
+isolated child without ``site`` that imports this very package
+(:func:`launch_command`).  A solver on the PATH is used only when one of the
+two names it, so what is installed does not change a report.
 
 Ranking queries are systems of :class:`polybound.ir.linear.LinearConstraint`
 rows, re-exported here.
@@ -66,8 +67,9 @@ class SmtResult:
         return self.status == "unsat"
 
 
-# The bundled procedure's command: what :func:`resolve_solver` falls back to,
-# and how a script is replayed by hand.  Queries run :func:`launch_command`'s.
+# The bundled procedure's command: what :func:`resolve_solver` returns when no
+# solver is named, and how a script is replayed by hand.  Queries run
+# :func:`launch_command`'s.
 BUNDLED = [sys.executable, "-m", "polybound.minismt"]
 # where this ``polybound`` package is imported from
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -77,7 +79,9 @@ MAX_TIMEOUT_MS = 2**31 - 1
 
 
 def resolve_solver(explicit: str | None = None) -> list[str]:
-    """Command line for the solver process; raises only for explicit paths."""
+    """Command line for the solver that ``explicit``, else ``POLYBOUND_SMT``,
+    names (on the PATH or as a file), else :data:`BUNDLED`; raises
+    :class:`SolverNotFound` for a name that is neither."""
     for source, path in (("option", explicit), ("env", os.environ.get("POLYBOUND_SMT"))):
         if not path:
             continue
@@ -85,9 +89,6 @@ def resolve_solver(explicit: str | None = None) -> list[str]:
         if resolved is None:
             raise SolverNotFound(f"solver from {source} not found: {path}")
         return _command_for(resolved)
-    found = shutil.which("z3")
-    if found:
-        return _command_for(found)
     return list(BUNDLED)
 
 

@@ -82,6 +82,17 @@ def shadowing_directory(path: Path) -> Path:
     return path
 
 
+@pytest.fixture(scope="session", autouse=True)
+def bundled_solver():
+    """Every test's default context and CLI run, in-process or through
+    :func:`run_python`, resolves the bundled procedure, which wrote the
+    goldens: ``POLYBOUND_SMT`` is unset for the session, and a test that
+    names a solver names it itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("POLYBOUND_SMT", raising=False)
+        yield
+
+
 @pytest.fixture
 def nested() -> Program:
     return load_fixture("nested")

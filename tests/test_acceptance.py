@@ -199,10 +199,12 @@ def test_c6_global_soundness_oracle():
                     assert is_omega(result.overall), name
                 continue
             for tid, count in run.per_transition.items():
-                assert count <= bound_eval(result.rb[tid], abs_state), (
-                    name, tid, state, count
-                )
-            assert run.rc <= bound_eval(result.overall, abs_state), (name, state)
+                if not is_omega(result.rb[tid]):
+                    assert count <= bound_eval(result.rb[tid], abs_state), (
+                        name, tid, state, count
+                    )
+            if not is_omega(result.overall):
+                assert run.rc <= bound_eval(result.overall, abs_state), (name, state)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"budget 5 min exceeded: {elapsed:.1f}s"
     _report("C6", f"global soundness oracle, {len(FIXTURE_NAMES)} fixtures in {elapsed:.1f}s")

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import os
 import random
 import re
 import shutil
@@ -9,6 +11,7 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +40,7 @@ from polybound.smt import (
 
 from conftest import (
     FIXTURE_NAMES,
+    FIXTURES,
     SRC,
     benchmark_jobs,
     load_fixture,
@@ -234,21 +238,45 @@ def test_resolve_solver_explicit_missing_raises():
         resolve_solver("/nonexistent/z3-binary")
 
 
-def test_resolve_solver_env_override(tmp_path, monkeypatch):
+@pytest.fixture
+def decoy_z3(tmp_path, monkeypatch) -> Path:
+    """A ``z3`` first on the PATH that reads its script and answers
+    ``unknown``, with ``POLYBOUND_SMT`` unset."""
+    decoy = tmp_path / "bin" / "z3"
+    decoy.parent.mkdir()
+    decoy.write_text("#!/bin/sh\ncat > /dev/null\necho unknown\n")
+    decoy.chmod(0o755)
+    monkeypatch.setenv("PATH", os.pathsep.join([str(decoy.parent), os.environ.get("PATH", "")]))
+    monkeypatch.delenv("POLYBOUND_SMT", raising=False)
+    return decoy
+
+
+def test_resolve_solver_falls_back_to_bundled(decoy_z3):
+    assert resolve_solver() == FALLBACK
+
+
+def test_resolve_solver_env_override(decoy_z3, tmp_path, monkeypatch):
     fake = tmp_path / "fake-solver"
     fake.write_text("#!/bin/sh\necho unsat\n")
     fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
     monkeypatch.setenv("POLYBOUND_SMT", str(fake))
     assert resolve_solver() == [str(fake)]
+    for z3 in (str(decoy_z3), "z3"):  # by path, and by name on the PATH
+        monkeypatch.setenv("POLYBOUND_SMT", z3)
+        assert resolve_solver() == [str(decoy_z3), "-in", "-smt2"]
     monkeypatch.setenv("POLYBOUND_SMT", "/nonexistent/solver")
     with pytest.raises(SolverNotFound):
         resolve_solver()
 
 
-def test_resolve_solver_falls_back_to_bundled(monkeypatch):
-    monkeypatch.delenv("POLYBOUND_SMT", raising=False)
-    monkeypatch.setenv("PATH", "/definitely/not/a/path")
-    assert resolve_solver() == FALLBACK
+def test_a_z3_on_the_path_does_not_change_a_report(decoy_z3):
+    proc = run_python(["-m", "polybound.cli", "analyze", "fixtures/nested.its",
+                       "--format", "json"], cwd=FIXTURES.parent)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    del report["timings"]
+    golden = Path(__file__).resolve().parent / "golden" / "nested.json"
+    assert report == json.loads(golden.read_text())
 
 
 def test_context_resolves_its_solver_when_built(monkeypatch):
